@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 	maxTimeout := fs.Duration("max-timeout", 0, "cap on requested per-job deadlines (0 = default 2m)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight searches before cancelling them")
 	noVisited := fs.Bool("no-visited", false, "do not retain visited-node lists in searches (lower memory; results are unchanged)")
-	compiled := fs.Bool("compiled", false, "evaluate descriptions as descvm bytecode in every search (same results, faster)")
 	dataDir := fs.String("data-dir", "", "durable store root: specs, results and session checkpoints survive restarts (empty = in-memory)")
 	tenantQueued := fs.Int("tenant-max-queued", 0, "per-tenant bound on queued jobs, 429 beyond it (0 = the -queue bound, negative = unlimited)")
 	tenantRunning := fs.Int("tenant-max-running", 0, "per-tenant bound on running jobs (0 = the -workers bound, negative = unlimited)")
@@ -82,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 		DefaultTimeout:   *defaultTimeout,
 		MaxTimeout:       *maxTimeout,
 		NoVisited:        *noVisited,
-		Compiled:         *compiled,
 		DataDir:          *dataDir,
 		TenantMaxQueued:  *tenantQueued,
 		TenantMaxRunning: *tenantRunning,

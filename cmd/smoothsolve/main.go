@@ -54,12 +54,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxNodes := fs.Int("max-nodes", 0, "bound on tree nodes explored (0 = unbounded)")
 	showFrontier := fs.Bool("frontier", false, "also print frontier nodes (paths toward ω solutions)")
 	showDead := fs.Bool("dead", false, "also print dead leaves (stuck non-solutions)")
-	workers := fs.Int("workers", 1, "parallel tree workers (1 = sequential search)")
+	workers := fs.Int("workers", 1, "tree-search workers (1 = search on one goroutine, negative = GOMAXPROCS)")
 	showStats := fs.Bool("stats", false, "print search statistics (nodes, pruning, memo, timing)")
 	statsJSON := fs.Bool("stats-json", false, "print search statistics as JSON")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound on the search (0 = none), e.g. 500ms or 10s")
 	noVisited := fs.Bool("no-visited", false, "do not retain the list of visited nodes (lower memory on large searches)")
-	compiled := fs.Bool("compiled", false, "evaluate descriptions as descvm bytecode (same results, faster; sides that cannot lower keep the interpreter)")
 	bytecode := fs.Bool("bytecode", false, "print the descvm disassembly of the description's sides and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,7 +117,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	problem.MaxNodes = *maxNodes
 	problem.CollectVisited = !*noVisited
-	problem.Compiled = *compiled
+	problem.Workers = *workers
 
 	fmt.Fprintf(stdout, "system: %d description(s), channels %v, depth %d\n",
 		len(prog.System.Descs), problem.Channels, problem.MaxDepth)
@@ -132,12 +131,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res solver.Result
-	if *workers > 1 {
-		res = solver.EnumerateParallel(ctx, problem, *workers)
-	} else {
-		res = solver.Enumerate(ctx, problem)
-	}
+	res := solver.Enumerate(ctx, problem)
 	fmt.Fprintf(stdout, "explored %d tree node(s)%s\n", res.Nodes, truncNote(res))
 	fmt.Fprintf(stdout, "smooth solutions: %d\n", len(res.Solutions))
 	for _, s := range res.Solutions {

@@ -37,14 +37,13 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 	}
 	par := s.Solve(ctx, 4)
 	if cold.Fingerprint() != par.Fingerprint() {
-		t.Errorf("%s: sequential and 4-worker fingerprints differ", s.Name)
+		t.Errorf("%s: 1-worker and 4-worker fingerprints differ", s.Name)
 	}
 
 	// Session leg: capture at half depth, then deepen to full. The
 	// resumed result must match the cold solve exactly — resuming a
 	// stress-sized search is a pure work split, never a different search.
 	p := s.Prog.Problem()
-	p.Compiled = true
 	sess := session.New(s.Name, p, s.Prog.System)
 	if _, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth / 2, Workers: 4}); err != nil {
 		t.Fatal(err)

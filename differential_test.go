@@ -1,13 +1,12 @@
 // Compiled-vs-interpreted differential suite: every shipped spec is
-// solved with Problem.Compiled off (the interpreter, kept as the
-// oracle) and on (descvm bytecode), sequentially and at several worker
-// counts, and the complete observable result — the fingerprint
+// solved as the solver always runs it (descvm bytecode) at several
+// worker counts, and against an interpreted oracle — the same problem
+// with the sides' IR cleared, so the evaluator falls back to
+// TraceFn.Apply. The complete observable result — the fingerprint
 // BENCH_solver.json tracks, the ordered result slices and every
-// deterministic SearchStats counter — must be byte-identical. This is
-// the transparency contract Problem.Compiled advertises, enforced by
-// the CI differential job; together with the eqlang corpus fuzz
-// (FuzzCompiledVsInterpreted) it is what lets the solver treat the
-// bytecode path as a pure speedup.
+// deterministic SearchStats counter — must be byte-identical. Together
+// with the eqlang corpus fuzz (FuzzCompiledVsInterpreted) this is what
+// lets the solver treat the bytecode path as a pure speedup.
 package smoothproc_test
 
 import (
@@ -49,9 +48,7 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 			if _, _, ok := prog.Bytecode(); !ok {
 				t.Fatal("spec does not lower to bytecode")
 			}
-			interp := prog.Problem()
-			interp.Compiled = false
-			oracle := solver.Enumerate(context.Background(), interp)
+			oracle := solver.Enumerate(context.Background(), interpreted(prog.Problem()))
 			oracleFp := fingerprint(spec, oracle)
 			oracleStats := oracle.Stats.Deterministic()
 			if oracle.Stats.CompiledEval {
@@ -59,7 +56,6 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 			}
 
 			compiled := prog.Problem()
-			compiled.Compiled = true
 			check := func(what string, res solver.Result) {
 				t.Helper()
 				if !res.Stats.CompiledEval {
@@ -76,16 +72,19 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 				compareTraceSlices(t, 0, what+" dead leaves", res.DeadLeaves, oracle.DeadLeaves)
 				compareTraceSlices(t, 0, what+" visited", res.Visited, oracle.Visited)
 			}
-			check("sequential", solver.Enumerate(context.Background(), compiled))
 			for _, workers := range parityWorkerCounts() {
-				if workers == 1 {
-					continue
-				}
-				res := solver.EnumerateParallel(context.Background(), compiled, workers)
-				check(strWorkers(workers), res)
+				res := solver.Enumerate(context.Background(), withWorkers(compiled, workers))
+				check("w"+strconv.Itoa(workers), res)
 			}
 		})
 	}
 }
 
-func strWorkers(n int) string { return "parallel-w" + strconv.Itoa(n) }
+// interpreted returns p with both description sides stripped of their
+// IR, so the evaluator cannot lower them and interprets TraceFn.Apply —
+// the oracle the bytecode path is checked against.
+func interpreted(p solver.Problem) solver.Problem {
+	p.D.F.IR = nil
+	p.D.G.IR = nil
+	return p
+}

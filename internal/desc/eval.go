@@ -20,7 +20,7 @@ const evalCacheLimit = 1 << 18
 // evalShardBits selects the number of lock stripes in the memo. Sixteen
 // shards keep the worst case — every worker of a wide parallel search
 // missing at once — spread across independent mutexes, while costing a
-// sequential search nothing but a mask on the hash it already has.
+// one-worker search nothing but a mask on the hash it already has.
 const evalShardBits = 4
 
 // evalShards is the number of lock-striped memo buckets.
@@ -75,8 +75,9 @@ type EvalSnapshot struct {
 	GHits int64 `json:"g_hits"`
 	// InflightWaits counts the lookups that waited out a concurrent
 	// application of the same trace — the work the singleflight dedup
-	// saved. Scheduling-dependent: zero in sequential searches,
-	// timing-dependent in parallel ones (not part of any fingerprint).
+	// saved. Scheduling-dependent: zero in one-worker searches,
+	// timing-dependent with several workers (not part of any
+	// fingerprint).
 	InflightWaits int64 `json:"inflight_waits,omitempty"`
 	// FNanos and GNanos are the wall-clock nanoseconds spent inside the
 	// underlying applications.
@@ -239,9 +240,9 @@ type Evaluator struct {
 	// into the totals.
 	sc singleCounts
 
-	// fprog and gprog are the bytecode programs of the two sides when
-	// compiled evaluation was requested and the side lowers (descvm).
-	// They sit strictly below the memo: everything above — keys, claims,
+	// fprog and gprog are the bytecode programs of the two sides, for
+	// every side that carries lowerable IR (descvm). They sit strictly
+	// below the memo: everything above — keys, claims,
 	// counters, insert/lookup — is byte-identical between compiled and
 	// interpreted evaluation, which is what keeps search fingerprints
 	// equal across the two modes (the differential suite's contract).
@@ -262,15 +263,12 @@ type EvalOptions struct {
 	// Memoize enables the memo and in-flight dedup; false is the
 	// ablation mode (counters and timers still run).
 	Memoize bool
-	// Compiled lowers each side to descvm bytecode where possible; the
-	// interpreter remains the oracle and the fallback.
-	Compiled bool
 	// SingleThreaded promises that F/G/EdgeOK/LimitOK are called from
 	// one goroutine only, letting the memo skip its locks and in-flight
 	// claims. Counters and lookup/insert logic are unchanged — hits and
 	// misses are byte-identical to the concurrent evaluator, which the
-	// parity suite checks across sequential and parallel searches. The
-	// default (false) is always safe.
+	// parity suite checks across worker counts. The default (false) is
+	// always safe.
 	SingleThreaded bool
 }
 
@@ -281,23 +279,22 @@ func NewEvaluator(d Description, memoize bool) *Evaluator {
 	return NewEvaluatorOpts(d, EvalOptions{Memoize: memoize})
 }
 
-// NewEvaluatorOpts builds an evaluator for d with explicit options.
+// NewEvaluatorOpts builds an evaluator for d with explicit options. Each
+// side that carries fn.TraceIR is lowered to descvm bytecode; a side
+// without IR (an opaque Go-closure combinator) keeps the interpreter,
+// TraceFn.Apply, which also stays the differential oracle.
 func NewEvaluatorOpts(d Description, opts EvalOptions) *Evaluator {
 	e := &Evaluator{d: d, memoize: opts.Memoize, single: opts.SingleThreaded}
-	if opts.Compiled {
-		// Memoized sessions retain every output for the evaluator's
-		// lifetime, which lets them arena-allocate result tuples.
-		if p, ok := descvm.Compile(d.F); ok {
-			e.fprog = p
-			if e.single {
-				e.fsess = p.NewSession()
-			}
+	if p, ok := descvm.Compile(d.F); ok {
+		e.fprog = p
+		if e.single {
+			e.fsess = p.NewSession()
 		}
-		if p, ok := descvm.Compile(d.G); ok {
-			e.gprog = p
-			if e.single {
-				e.gsess = p.NewSession()
-			}
+	}
+	if p, ok := descvm.Compile(d.G); ok {
+		e.gprog = p
+		if e.single {
+			e.gsess = p.NewSession()
 		}
 	}
 	for i := range e.shards {
@@ -391,7 +388,7 @@ func (e *Evaluator) apply(t trace.Trace, side fn.TraceFn, g bool,
 	if e.single {
 		// One-goroutine promise: the same lookup → count → apply → insert
 		// sequence as below with the locks and in-flight claims elided.
-		// Hit/apply counts are decided by the same code, so sequential
+		// Hit/apply counts are decided by the same code, so one-worker
 		// searches produce the exact fingerprints the locked path would.
 		v, ok, present := cache.lookup(t, key)
 		if ok {

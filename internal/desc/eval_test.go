@@ -26,9 +26,32 @@ func evalTestTraces() []trace.Trace {
 }
 
 // TestEvaluatorTransparent: memoized evaluation agrees with direct
-// application of both sides on every prefix, in any query order.
+// application of both sides on every prefix, in any query order —
+// compiled (the default for sides that carry IR) and interpreted (IR
+// cleared, the fallback for opaque sides).
 func TestEvaluatorTransparent(t *testing.T) {
-	d := evalTestDesc()
+	t.Run("compiled", func(t *testing.T) {
+		e := checkEvaluatorTransparent(t, evalTestDesc())
+		if !e.Compiled() {
+			t.Error("sides with IR were not lowered to bytecode")
+		}
+	})
+	t.Run("interpreted", func(t *testing.T) {
+		d := evalTestDesc()
+		d.F.IR, d.G.IR = nil, nil
+		e := checkEvaluatorTransparent(t, d)
+		if e.Compiled() {
+			t.Error("sides without IR reported as compiled")
+		}
+		// Only interpreted applications are timed (see timedRun).
+		if s := e.Snapshot(); s.FNanos <= 0 || s.GNanos <= 0 {
+			t.Errorf("timers not running: f=%dns g=%dns", s.FNanos, s.GNanos)
+		}
+	})
+}
+
+func checkEvaluatorTransparent(t *testing.T, d Description) *Evaluator {
+	t.Helper()
 	e := NewEvaluator(d, true)
 	traces := evalTestTraces()
 	// Query twice, second pass entirely from cache.
@@ -59,9 +82,7 @@ func TestEvaluatorTransparent(t *testing.T) {
 	if s.CacheHits() == 0 {
 		t.Error("no cache hits on repeated queries")
 	}
-	if s.FNanos <= 0 || s.GNanos <= 0 {
-		t.Errorf("timers not running: f=%dns g=%dns", s.FNanos, s.GNanos)
-	}
+	return e
 }
 
 // TestEvaluatorUnmemoized: with the cache off every query applies the
@@ -87,7 +108,7 @@ func TestEvaluatorUnmemoized(t *testing.T) {
 }
 
 // TestEvaluatorConcurrent hammers one evaluator from several goroutines —
-// the EnumerateParallel sharing pattern — and checks the results stay
+// the multi-worker search's sharing pattern — and checks the results stay
 // correct and the books balance.
 func TestEvaluatorConcurrent(t *testing.T) {
 	d := evalTestDesc()

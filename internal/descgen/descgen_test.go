@@ -77,8 +77,8 @@ func TestMonitorOnRandomDescriptions(t *testing.T) {
 	}
 }
 
-// TestParallelSolverOnRandomDescriptions compares the sequential and
-// parallel enumerations on random instances.
+// TestParallelSolverOnRandomDescriptions compares the 1-worker and
+// 4-worker enumerations on random instances.
 func TestParallelSolverOnRandomDescriptions(t *testing.T) {
 	for seed := int64(0); seed < sweepSeeds/2; seed++ {
 		g := Generate(seed, Config{Depth: 3})
@@ -87,9 +87,11 @@ func TestParallelSolverOnRandomDescriptions(t *testing.T) {
 		if a.Truncated {
 			continue
 		}
-		b := solver.EnumerateParallel(context.Background(), g.Problem, 4)
+		p := g.Problem
+		p.Workers = 4
+		b := solver.Enumerate(context.Background(), p)
 		if strings.Join(a.SolutionKeys(), "|") != strings.Join(b.SolutionKeys(), "|") {
-			t.Errorf("seed %d (%s): parallel/sequential disagree", seed, g.Shape)
+			t.Errorf("seed %d (%s): 1-worker and 4-worker searches disagree", seed, g.Shape)
 		}
 		if a.Nodes != b.Nodes {
 			t.Errorf("seed %d (%s): node counts %d vs %d", seed, g.Shape, a.Nodes, b.Nodes)

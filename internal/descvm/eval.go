@@ -17,20 +17,31 @@ import (
 // instead of re-walking the trace spine.
 type frame struct {
 	regs     []seq.Seq
-	scratch  [][]value.Value
-	chanVals [][]value.Value // per channel-table index, history of base(+push)
-	events   []trace.Event   // reusable buffer for full spine loads
+	scratch  []seq.Seq
+	chanVals []seq.Seq     // per channel-table index, history of base(+push)
+	events   []trace.Event // reusable buffer for full spine loads
 
 	base      trace.Trace // the trace whose histories chanVals holds
 	baseValid bool
 }
 
 func newFrame(p *Prog) *frame {
-	return &frame{
-		regs:     make([]seq.Seq, p.nregs),
-		scratch:  make([][]value.Value, p.nregs),
-		chanVals: make([][]value.Value, len(p.chans)),
-	}
+	fr := &frame{}
+	fr.init(p, make([]seq.Seq, p.frameSize()))
+	return fr
+}
+
+// frameSize is the number of sequence slots a frame of p holds: its
+// registers, their scratch buffers and the channel histories.
+func (p *Prog) frameSize() int { return 2*p.nregs + len(p.chans) }
+
+// init carves the frame's three tables from one backing array of
+// p.frameSize() slots, so a frame costs one allocation besides itself.
+func (fr *frame) init(p *Prog, backing []seq.Seq) {
+	n := p.nregs
+	fr.regs = backing[:n:n]
+	fr.scratch = backing[n : 2*n : 2*n]
+	fr.chanVals = backing[2*n:]
 }
 
 // load rebuilds the frame's channel histories for base: one walk of the
@@ -77,11 +88,20 @@ func (p *Prog) Eval(t trace.Trace) fn.Tuple {
 type Session struct {
 	p        *Prog
 	fr, prev *frame // most- and second-most-recently used
+	frames   [2]frame
 }
 
-// NewSession returns a fresh single-goroutine handle for p.
+// NewSession returns a fresh single-goroutine handle for p. Both frames
+// live in the Session and share one backing array, so a session costs
+// two allocations however many registers and channels p has.
 func (p *Prog) NewSession() *Session {
-	return &Session{p: p, fr: newFrame(p), prev: newFrame(p)}
+	s := &Session{p: p}
+	n := p.frameSize()
+	backing := make([]seq.Seq, 2*n)
+	s.frames[0].init(p, backing[:n:n])
+	s.frames[1].init(p, backing[n:])
+	s.fr, s.prev = &s.frames[0], &s.frames[1]
+	return s
 }
 
 // Eval is Prog.Eval through the session's dedicated frames.

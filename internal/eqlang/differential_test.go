@@ -14,13 +14,18 @@ import (
 const maxFuzzFanout = 64
 
 // solveBudgeted runs a short-budget enumeration of prog with or without
-// bytecode evaluation. The budget keeps hostile fuzz inputs cheap while
-// still exercising every opcode the program lowers to.
+// bytecode evaluation. The interpreted run clears the sides' IR on its
+// copy of the problem, so the evaluator has nothing to lower and falls
+// back to TraceFn.Apply. The budget keeps hostile fuzz inputs cheap
+// while still exercising every opcode the program lowers to.
 func solveBudgeted(prog *Program, compiled bool) solver.Result {
 	p := prog.Problem()
 	p.MaxDepth = min(p.MaxDepth, 3)
 	p.MaxNodes = 200
-	p.Compiled = compiled
+	if !compiled {
+		p.D.F.IR = nil
+		p.D.G.IR = nil
+	}
 	return solver.Enumerate(context.Background(), p)
 }
 
@@ -33,8 +38,8 @@ func diffFingerprint(res solver.Result) (keys []string, nodes int, stats solver.
 
 // FuzzCompiledVsInterpreted holds descvm bytecode evaluation equal to
 // the interpreter over arbitrary eqlang programs: any input that
-// compiles is solved twice under a short budget — Compiled off (the
-// oracle) and on — and the results must be byte-identical. Run with
+// compiles is solved twice under a short budget — interpreted (the
+// oracle) and compiled — and the results must be byte-identical. Run with
 // `go test -fuzz=FuzzCompiledVsInterpreted` for continuous fuzzing; the
 // shared corpus runs on every plain `go test` and in the CI
 // differential job.

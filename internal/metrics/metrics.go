@@ -3,8 +3,8 @@
 // and histograms that the solver, the description evaluator and the
 // network scheduler thread through their hot paths.
 //
-// Everything here is safe for concurrent use — EnumerateParallel shares
-// one description evaluator across its worker pool — and reads back into
+// Everything here is safe for concurrent use — a search with several
+// workers shares one description evaluator across its pool — and reads back into
 // plain-value snapshots, so stats structs stay copyable and vet-clean
 // (no lock or atomic is ever copied).
 package metrics

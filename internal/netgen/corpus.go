@@ -119,9 +119,7 @@ func (in *Instance) CrossCheck(ctx context.Context) error {
 // across machines, Go versions and worker counts.
 func (in *Instance) Fingerprint(ctx context.Context, workers int) uint64 {
 	p := in.Prog.Problem()
-	if workers > 1 {
-		return solver.EnumerateParallel(ctx, p, workers).Fingerprint()
-	}
+	p.Workers = workers
 	return solver.Enumerate(ctx, p).Fingerprint()
 }
 

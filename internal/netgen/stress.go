@@ -128,14 +128,11 @@ func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	}, nil
 }
 
-// Solve runs the instance through the parallel solver with the settings
-// large searches want: no visited-node retention, compiled evaluation.
+// Solve runs the instance through the solver with the settings large
+// searches want: no visited-node retention, the given worker count.
 func (s *StressInstance) Solve(ctx context.Context, workers int) solver.Result {
 	p := s.Prog.Problem()
 	p.CollectVisited = false
-	p.Compiled = true
-	if workers > 1 {
-		return solver.EnumerateParallel(ctx, p, workers)
-	}
+	p.Workers = workers
 	return solver.Enumerate(ctx, p)
 }

@@ -107,23 +107,29 @@ type SolveRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// SolveParams are the normalized search knobs — the part of a solve
-// request that determines the answer. They form the result-cache key
-// together with the spec hash.
+// SolveParams are the normalized search knobs of a solve request. Depth
+// and MaxNodes determine the answer and, with the spec hash, form the
+// result-cache key; Workers only schedules the search.
 type SolveParams struct {
 	Depth    int `json:"depth"`
 	MaxNodes int `json:"max_nodes"`
 	Workers  int `json:"workers"`
 }
 
-// resultKey names one (spec, params) search in the result cache — a
-// comparable struct, not a rendered string, in the same spirit as the
-// solver's hashed trace keys. The timeout is deliberately excluded: a
-// completed search's answer does not depend on the deadline it beat,
-// and cancelled searches are never cached.
+// resultKey names one search in the result cache — a comparable
+// struct, not a rendered string, in the same spirit as the solver's
+// hashed trace keys. Only what determines the answer is in it: the
+// worker count is not (results are byte-identical at any count), nor is
+// the timeout (a completed search's answer does not depend on the
+// deadline it beat, and cancelled searches are never cached).
 type resultKey struct {
-	hash   string
-	params SolveParams
+	hash            string
+	depth, maxNodes int
+}
+
+// keyOf is the result-cache key of a solve of spec hash with params p.
+func keyOf(hash string, p SolveParams) resultKey {
+	return resultKey{hash: hash, depth: p.Depth, maxNodes: p.MaxNodes}
 }
 
 // SolveResult is the wire form of one completed search.

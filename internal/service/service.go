@@ -50,11 +50,6 @@ type Config struct {
 	// NoVisited skips retaining each search's visited-node list. The
 	// wire result never includes it, so this only lowers memory.
 	NoVisited bool
-	// Compiled evaluates descriptions as descvm bytecode in every
-	// served search. Results, stats and cache keys are byte-identical
-	// to interpreted evaluation (the solver's differential suite holds
-	// the two equal), so the switch is safe to flip on a live fleet.
-	Compiled bool
 	// DataDir roots the durable content-addressed store. When set,
 	// uploaded specs, finished solve results and session checkpoints
 	// survive restarts: the in-memory LRUs become read-through caches in
@@ -339,10 +334,11 @@ func (s *Server) lookupSpec(ctx context.Context, hash string) (compiledSpec, boo
 }
 
 // storeResultKey derives the result blob's content address from the
-// cache key: the SHA-256 of the canonical (spec, params) rendering.
+// cache key: the SHA-256 of the canonical (spec, depth, node budget)
+// rendering.
 func storeResultKey(k resultKey) store.Key {
-	return store.KeyOf([]byte(fmt.Sprintf("result|%s|d%d|n%d|w%d",
-		k.hash, k.params.Depth, k.params.MaxNodes, k.params.Workers)))
+	return store.KeyOf([]byte(fmt.Sprintf("result|%s|d%d|n%d",
+		k.hash, k.depth, k.maxNodes)))
 }
 
 // cachedResult is the read-through result lookup: LRU, then store.
@@ -595,14 +591,9 @@ func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams)
 func (s *Server) solveProblem(ctx context.Context, problem solver.Problem, p SolveParams) *SolveResult {
 	problem.MaxDepth = p.Depth
 	problem.MaxNodes = p.MaxNodes
-	problem.Compiled = s.cfg.Compiled
+	problem.Workers = p.Workers
 	start := time.Now()
-	var res solver.Result
-	if p.Workers > 1 {
-		res = solver.EnumerateParallel(ctx, problem, p.Workers)
-	} else {
-		res = solver.Enumerate(ctx, problem)
-	}
+	res := solver.Enumerate(ctx, problem)
 	s.countSearch(res, res.Nodes, len(res.Solutions))
 	return wireResult(res, start)
 }
@@ -619,7 +610,11 @@ func (s *Server) countSearch(res solver.Result, newNodes, newSolutions int) {
 	s.inflightWaits.Add(res.Stats.Eval.InflightWaits)
 }
 
-// wireResult converts a solver result to the wire form.
+// wireResult converts a solver result to the wire form. Its stats carry
+// deterministic counters only — no run-configuration row (worker count,
+// compiled evaluation) and no wall-clock or scheduling row — so a result
+// reads the same however it was computed and the cache can serve it to
+// any request.
 func wireResult(res solver.Result, start time.Time) *SolveResult {
 	return &SolveResult{
 		Solutions:  res.SolutionKeys(),
@@ -628,7 +623,7 @@ func wireResult(res solver.Result, start time.Time) *SolveResult {
 		Nodes:      res.Nodes,
 		Truncated:  res.Truncated,
 		Canceled:   res.Canceled,
-		Stats:      res.Stats.Report().Deterministic(),
+		Stats:      res.Stats.Deterministic().Report().Deterministic(),
 		ElapsedMs:  float64(time.Since(start).Microseconds()) / 1000,
 	}
 }
@@ -652,7 +647,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rejectOverBudget(w, est)
 		return
 	}
-	key := resultKey{hash: hash, params: p}
+	key := keyOf(hash, p)
 	if !req.NoCache {
 		if cached, ok := s.cachedResult(r.Context(), key); ok {
 			cached.Cached = true

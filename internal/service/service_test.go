@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -198,6 +199,47 @@ func TestResultCacheSkipsSearch(t *testing.T) {
 	if third.Result == nil || third.Result.Cached {
 		t.Errorf("depth-5 solve should not hit the depth-4 cache entry: %+v", third)
 	}
+}
+
+// TestResultCacheIgnoresWorkers: the worker count schedules a search but
+// never changes its answer, so a result computed at one worker count is
+// served from the cache to a request at another, and a fresh search at
+// another count reports the same solutions and stats.
+func TestResultCacheIgnoresWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	_, body := postJSON(t, ts.URL+"/v1/specs", SpecRequest{Source: fig4})
+	hash := decode[SpecInfo](t, body).Hash
+
+	solve := func(req SolveRequest) *SolveResult {
+		t.Helper()
+		req.SpecHash, req.Wait = hash, true
+		_, body := postJSON(t, ts.URL+"/v1/solve", req)
+		view := decode[JobView](t, body)
+		if view.State != JobDone || view.Result == nil {
+			t.Fatalf("solve %+v = %+v", req, view)
+		}
+		return view.Result
+	}
+	same := func(what string, got, want *SolveResult) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Solutions, want.Solutions) {
+			t.Errorf("%s: solutions %v, want %v", what, got.Solutions, want.Solutions)
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Errorf("%s: stats\n%s\nwant\n%s", what, got.Stats.Text(), want.Stats.Text())
+		}
+	}
+
+	first := solve(SolveRequest{Workers: 1})
+	if first.Cached {
+		t.Fatal("first solve reported cached")
+	}
+	second := solve(SolveRequest{Workers: 2})
+	if !second.Cached {
+		t.Error("workers:2 repeat of a workers:1 solve missed the result cache")
+	}
+	same("cached", second, first)
+	same("fresh workers:2", solve(SolveRequest{Workers: 2, NoCache: true}), first)
 }
 
 func TestMalformedSpecsReturnStructured4xx(t *testing.T) {

@@ -40,8 +40,7 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 	// Sessions retain their state between solves, so never pin the
 	// visited-node list; the wire result does not carry it anyway.
 	p.CollectVisited = false
-	p.Compiled = s.cfg.Compiled
-	// A persisted session (same spec, same evaluation mode) resumes
+	// A persisted session (same spec) resumes
 	// exactly where the previous process stopped: the decoder verifies
 	// the checkpoint's content address and rebuilds frontier and memo.
 	if meta, err := s.store.Get(ctx, store.KindSession, store.Key(hash)); err == nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"smoothproc/internal/solver"
 	"smoothproc/internal/trace"
 )
 
@@ -90,7 +89,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	buf := newStreamBuf()
-	key := resultKey{hash: hash, params: p}
+	key := keyOf(hash, p)
 	start := time.Now()
 	var estimate uint64
 	if spec.plan != nil {
@@ -107,18 +106,8 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		Run: func(ctx context.Context) (*SolveResult, error) {
 			problem := prog.Problem()
 			problem.CollectVisited = false
-			problem.MaxDepth = p.Depth
-			problem.MaxNodes = p.MaxNodes
-			problem.Compiled = s.cfg.Compiled
 			problem.OnSolution = buf.push
-			var res solver.Result
-			if p.Workers > 1 {
-				res = solver.EnumerateParallel(ctx, problem, p.Workers)
-			} else {
-				res = solver.Enumerate(ctx, problem)
-			}
-			s.countSearch(res, res.Nodes, len(res.Solutions))
-			out := wireResult(res, start)
+			out := s.solveProblem(ctx, problem, p)
 			if !out.Truncated && !out.Canceled {
 				s.saveResult(key, *out)
 			}

@@ -59,15 +59,10 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult, workers int) (D
 		}
 	}
 	fp := solver.NewProblem(d.System.Combined(), alph, depth)
-	fp.Compiled = base.Compiled
 	fp.CollectVisited = false
+	fp.Workers = workers
 
-	var fresh solver.Result
-	if workers == 0 || workers == 1 {
-		fresh = solver.Enumerate(ctx, fp)
-	} else {
-		fresh = solver.EnumerateParallel(ctx, fp, workers)
-	}
+	fresh := solver.Enumerate(ctx, fp)
 	if fresh.Truncated {
 		return DeltaCheckReport{}, fmt.Errorf("session: fresh solve of %s was truncated; delta check needs a complete reference", d.System.Name)
 	}

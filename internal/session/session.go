@@ -37,8 +37,8 @@ type Options struct {
 	// MaxNodes is the total node budget (0 = unbounded). A truncated
 	// session resumes when the budget grows.
 	MaxNodes int
-	// Workers > 1 selects the parallel search (< 0 uses GOMAXPROCS); 0 or
-	// 1 solves sequentially. Legs may switch freely.
+	// Workers is the leg's worker count (see solver.Problem.Workers).
+	// Legs may switch freely.
 	Workers int
 	// OnSolution, when non-nil, receives the complete solution stream of
 	// the search in canonical BFS order: stored prefix solutions are
@@ -118,14 +118,9 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 			p.MaxDepth = o.Depth
 		}
 		p.MaxNodes = o.MaxNodes
+		p.Workers = o.Workers
 		p.OnSolution = o.OnSolution
-		var res solver.Result
-		var cp *solver.Checkpoint
-		if o.Workers == 0 || o.Workers == 1 {
-			res, cp = solver.EnumerateCapture(ctx, p)
-		} else {
-			res, cp = solver.EnumerateParallelCapture(ctx, p, o.Workers)
-		}
+		res, cp := solver.EnumerateCapture(ctx, p)
 		p.OnSolution = nil
 		s.p = p
 		s.cp = cp

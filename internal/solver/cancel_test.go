@@ -2,9 +2,11 @@ package solver
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
+	"smoothproc/internal/fn"
 	"smoothproc/internal/trace"
 )
 
@@ -28,7 +30,7 @@ func TestEnumerateCanceledContext(t *testing.T) {
 func TestEnumerateParallelCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := EnumerateParallel(ctx, dfmProblem(6), 4)
+	res := Enumerate(ctx, withWorkers(dfmProblem(6), 4))
 	if !res.Canceled || !res.Truncated {
 		t.Fatalf("cancelled search: Canceled=%v Truncated=%v, want both true", res.Canceled, res.Truncated)
 	}
@@ -97,11 +99,89 @@ func TestEnumerateDeadline(t *testing.T) {
 func TestBackgroundContextIsNeutral(t *testing.T) {
 	p := dfmProblem(4)
 	seq := Enumerate(context.Background(), p)
-	par := EnumerateParallel(context.Background(), p, 4)
+	par := Enumerate(context.Background(), withWorkers(p, 4))
 	if seq.Canceled || par.Canceled {
 		t.Fatal("background context produced Canceled results")
 	}
 	if got, want := par.SolutionKeys(), seq.SolutionKeys(); len(got) != len(want) {
 		t.Fatalf("parallel found %d solutions, sequential %d", len(got), len(want))
+	}
+}
+
+// A side that panics on a spawned worker must reach the caller as a
+// panic, not kill the process, and the search must leave no worker
+// behind. Which worker meets the panicking trace is up to the
+// scheduler, so the search runs repeatedly: a panic on the calling
+// goroutine (worker 0) propagates as is, one on a spawned worker
+// arrives wrapped in a WorkerPanic carrying the worker's stack.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	p := dfmProblem(5)
+	var target trace.Trace
+	for _, v := range Enumerate(context.Background(), p).Visited {
+		if v.Len() == 3 {
+			target = v
+		}
+	}
+	if target.Len() != 3 {
+		t.Fatal("dfm tree has no depth-3 node")
+	}
+	want := "side panicked on " + target.String()
+	g := p.D.G
+	p.D.G.IR = nil
+	p.D.G.Apply = func(tr trace.Trace) fn.Tuple {
+		if tr.Equal(target) {
+			panic(want)
+		}
+		return g.Apply(tr)
+	}
+	p.Workers = 4
+
+	before := runtime.NumGoroutine()
+	spawned := 0
+	for i := 0; i < 20; i++ {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Enumerate(context.Background(), p)
+			return nil
+		}()
+		if wp, ok := got.(*WorkerPanic); ok {
+			if len(wp.Stack) == 0 {
+				t.Error("WorkerPanic carries no stack")
+			}
+			got = wp.Value
+			spawned++
+		}
+		if got != want {
+			t.Fatalf("run %d: recovered %v, want %q", i, got, want)
+		}
+	}
+	t.Logf("%d of 20 panics arose on a spawned worker", spawned)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A panicking OnSolution callback runs under the pool lock; it must
+// still reach the caller, at one worker and at several, without
+// leaving the lock held for the draining workers.
+func TestOnSolutionPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := withWorkers(dfmProblem(4), workers)
+		p.OnSolution = func(trace.Trace) { panic("callback panicked") }
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Enumerate(context.Background(), p)
+			return nil
+		}()
+		if wp, ok := got.(*WorkerPanic); ok {
+			got = wp.Value
+		}
+		if got != "callback panicked" {
+			t.Errorf("w%d: recovered %v", workers, got)
+		}
 	}
 }

@@ -19,7 +19,7 @@
 // capture at depth d resumed in Final mode to depth D > d reproduces the
 // cold depth-D fingerprint byte for byte, evaluator counters included
 // (the root resume differential suite enforces this across all shipped
-// specs, sequentially and in parallel).
+// specs, at one worker and at several).
 package solver
 
 import (
@@ -44,10 +44,10 @@ type frontierEntry struct {
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
 // (the session subsystem) serialize resumes. The evaluator inside is
-// always built in its locked (concurrency-safe) mode, so a sequential
-// capture may be resumed in parallel and vice versa — the memo's
-// hit/apply counters are byte-identical either way (the evaluator's
-// single-threaded/locked parity contract).
+// always built in its locked (concurrency-safe) mode, so every leg may
+// run with any number of workers — the memo's hit/apply counters are
+// byte-identical either way (the evaluator's single-threaded/locked
+// parity contract).
 type Checkpoint struct {
 	s        *search
 	done     Result
@@ -61,28 +61,12 @@ type Checkpoint struct {
 // Result (see the package comment for the bound-level stats caveat),
 // plus a Checkpoint that can resume the search at larger bounds.
 func EnumerateCapture(ctx context.Context, p Problem) (Result, *Checkpoint) {
-	// The locked evaluator keeps the checkpoint resumable in parallel.
+	// The locked evaluator keeps the checkpoint resumable with any
+	// number of workers.
 	s := newSearch(p, false)
 	cp := &Checkpoint{s: s}
 	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	seqLoop(ctx, s, &res, []trace.Trace{root}, cp)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
-	cp.done = res
-	return res, cp
-}
-
-// EnumerateParallelCapture is EnumerateParallel in capture mode; see
-// EnumerateCapture.
-func EnumerateParallelCapture(ctx context.Context, p Problem, workers int) (Result, *Checkpoint) {
-	s := newSearch(p, false)
-	cp := &Checkpoint{s: s}
-	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	parLoop(ctx, s, &res, []trace.Trace{root}, workers, cp)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
+	s.loop(ctx, &res, []trace.Trace{root}, workerCount(p.Workers), cp)
 	cp.done = res
 	return res, cp
 }
@@ -96,9 +80,9 @@ type ResumeOpts struct {
 	// prefix); 0 means unbounded. A positive budget must exceed the nodes
 	// already classified.
 	MaxNodes int
-	// Workers selects the parallel search when > 1 (< 0 uses GOMAXPROCS,
-	// as EnumerateParallel); 0 or 1 resumes sequentially. Legs may switch
-	// freely between sequential and parallel.
+	// Workers is this leg's worker count, with Problem.Workers's
+	// convention (0 or 1 is one worker, negative is GOMAXPROCS). Legs may
+	// switch freely.
 	Workers int
 	// Final ends the checkpoint's lineage: the resumed leg treats the new
 	// depth bound with the plain hasSon probe, so its Result is
@@ -186,13 +170,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		capCp = nil
 	}
 	res := base
-	if o.Workers == 0 || o.Workers == 1 {
-		seqLoop(ctx, cp.s, &res, queue, capCp)
-	} else {
-		parLoop(ctx, cp.s, &res, queue, o.Workers, capCp)
-	}
-	res.Stats.Eval = cp.s.e.Snapshot()
-	res.Stats.CompiledEval = cp.s.e.Compiled()
+	cp.s.loop(ctx, &res, queue, workerCount(o.Workers), capCp)
 	cp.resumes++
 	if o.Final {
 		cp.finaled = true

@@ -64,13 +64,7 @@ func TestCaptureResumeFinalMatchesCold(t *testing.T) {
 		{"par-par", 2, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var capRes Result
-			var cp *Checkpoint
-			if tc.capWorkers > 1 {
-				capRes, cp = EnumerateParallelCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
-			} else {
-				capRes, cp = EnumerateCapture(ctx, dfmProblem(capDepth))
-			}
+			capRes, cp := EnumerateCapture(ctx, withWorkers(dfmProblem(capDepth), tc.capWorkers))
 			if err := capRes.Stats.CheckInvariants(false); err != nil {
 				t.Fatal(err)
 			}
@@ -140,13 +134,7 @@ func TestCaptureBudgetResume(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := dfmProblem(depth)
 		p.MaxNodes = 7
-		var capRes Result
-		var cp *Checkpoint
-		if workers > 1 {
-			capRes, cp = EnumerateParallelCapture(ctx, p, workers)
-		} else {
-			capRes, cp = EnumerateCapture(ctx, p)
-		}
+		capRes, cp := EnumerateCapture(ctx, withWorkers(p, workers))
 		if !capRes.Truncated {
 			t.Fatalf("w%d: capture with MaxNodes=7 not truncated", workers)
 		}
@@ -212,7 +200,7 @@ func TestOnSolutionStreamsCanonically(t *testing.T) {
 	var par []string
 	pp := dfmProblem(4)
 	pp.OnSolution = func(tr trace.Trace) { par = append(par, tr.String()) }
-	EnumerateParallel(ctx, pp, 4)
+	Enumerate(ctx, withWorkers(pp, 4))
 	if !reflect.DeepEqual(par, seq) {
 		t.Errorf("parallel emission order %v, want %v", par, seq)
 	}

@@ -30,7 +30,7 @@ import (
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -52,7 +52,6 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	e.Bool(p.Memoize)
 	e.Bool(p.CollectVisited)
 	e.Bool(p.Thm1)
-	e.Bool(p.Compiled)
 
 	encodeResult(e, cp.done)
 
@@ -73,7 +72,7 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 
 // DecodeCheckpoint rebuilds a checkpoint from Encode's blob. p must be
 // the same problem the capture ran (sides rebuilt from the same spec,
-// same Prune/Memoize/Thm1/Compiled/CollectVisited configuration — the
+// same Prune/Memoize/Thm1/CollectVisited configuration — the
 // stored flags are verified); the blob's captured bounds override
 // p.MaxDepth/p.MaxNodes. All corruption failures wrap trace.ErrCorrupt.
 func DecodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
@@ -104,16 +103,16 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flags [5]bool
+	var flags [4]bool
 	for i := range flags {
 		if flags[i], err = d.Bool(); err != nil {
 			return nil, err
 		}
 	}
-	if flags[0] != p.Prune || flags[1] != p.Memoize || flags[2] != p.CollectVisited || flags[3] != p.Thm1 || flags[4] != p.Compiled {
-		return nil, fmt.Errorf("checkpoint was captured with prune=%t memoize=%t visited=%t thm1=%t compiled=%t, caller passed prune=%t memoize=%t visited=%t thm1=%t compiled=%t",
-			flags[0], flags[1], flags[2], flags[3], flags[4],
-			p.Prune, p.Memoize, p.CollectVisited, p.Thm1, p.Compiled)
+	if flags[0] != p.Prune || flags[1] != p.Memoize || flags[2] != p.CollectVisited || flags[3] != p.Thm1 {
+		return nil, fmt.Errorf("checkpoint was captured with prune=%t memoize=%t visited=%t thm1=%t, caller passed prune=%t memoize=%t visited=%t thm1=%t",
+			flags[0], flags[1], flags[2], flags[3],
+			p.Prune, p.Memoize, p.CollectVisited, p.Thm1)
 	}
 	p.MaxDepth = int(maxDepth)
 	p.MaxNodes = int(maxNodes)

@@ -54,7 +54,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 // checkpoint blobs content-addressable.
 func TestCheckpointCodecDeterministic(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateParallelCapture(ctx, dfmProblem(3), 3)
+	_, cp := EnumerateCapture(ctx, withWorkers(dfmProblem(3), 3))
 	b1, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +207,7 @@ func TestCheckpointCodecResumeParity(t *testing.T) {
 		{"par-par", 2, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var cp *Checkpoint
-			if tc.capWorkers > 1 {
-				_, cp = EnumerateParallelCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
-			} else {
-				_, cp = EnumerateCapture(ctx, dfmProblem(capDepth))
-			}
+			_, cp := EnumerateCapture(ctx, withWorkers(dfmProblem(capDepth), tc.capWorkers))
 			blob, err := cp.Encode()
 			if err != nil {
 				t.Fatal(err)

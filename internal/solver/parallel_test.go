@@ -24,7 +24,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", name, workers), func(t *testing.T) {
 				seq := Enumerate(context.Background(), p)
-				par := EnumerateParallel(context.Background(), p, workers)
+				par := Enumerate(context.Background(), withWorkers(p, workers))
 				if par.Nodes != seq.Nodes {
 					t.Errorf("nodes: parallel %d vs sequential %d", par.Nodes, seq.Nodes)
 				}
@@ -46,12 +46,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelIsDeterministic(t *testing.T) {
 	p := dfmProblem(5)
-	a := EnumerateParallel(context.Background(), p, 4)
-	b := EnumerateParallel(context.Background(), p, 4)
+	a := Enumerate(context.Background(), withWorkers(p, 4))
+	b := Enumerate(context.Background(), withWorkers(p, 4))
 	if strings.Join(a.SolutionKeys(), "|") != strings.Join(b.SolutionKeys(), "|") {
 		t.Error("parallel runs disagree")
 	}
-	// And the per-level sort makes Visited deterministic too.
+	// And the canonical commit order makes Visited deterministic too.
 	for i := range a.Visited {
 		if !a.Visited[i].Equal(b.Visited[i]) {
 			t.Fatalf("visited order differs at %d", i)
@@ -63,7 +63,7 @@ func TestParallelUnprunedAblation(t *testing.T) {
 	p := dfmProblem(4)
 	p.Prune = false
 	seq := Enumerate(context.Background(), p)
-	par := EnumerateParallel(context.Background(), p, 4)
+	par := Enumerate(context.Background(), withWorkers(p, 4))
 	if strings.Join(seq.SolutionKeys(), "|") != strings.Join(par.SolutionKeys(), "|") {
 		t.Error("unpruned parallel disagrees with sequential")
 	}
@@ -72,26 +72,20 @@ func TestParallelUnprunedAblation(t *testing.T) {
 func TestParallelNodeBudget(t *testing.T) {
 	p := dfmProblem(6)
 	p.MaxNodes = 5
-	res := EnumerateParallel(context.Background(), p, 4)
+	res := Enumerate(context.Background(), withWorkers(p, 4))
 	if !res.Truncated {
 		t.Error("budget not enforced")
 	}
 }
 
-func BenchmarkEnumerateParallel(b *testing.B) {
+func BenchmarkEnumerateWorkers(b *testing.B) {
 	p := dfmProblem(8)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				EnumerateParallel(context.Background(), p, workers)
+				Enumerate(context.Background(), withWorkers(p, workers))
 			}
 		})
 	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Enumerate(context.Background(), p)
-		}
-	})
 }

@@ -32,8 +32,8 @@ func raceFingerprint(res Result) string {
 // the race detector at several worker counts and asserts the full
 // deterministic fingerprint — including the evaluator's apply counts,
 // which the pre-singleflight implementation could not keep stable —
-// equals sequential Enumerate's. The CI invariants job runs this with
-// -race; it backs the concurrency claims in EnumerateParallel's and
+// equals the one-worker search's. The CI invariants job runs this with
+// -race; it backs the concurrency claims in the search loop's and
 // Evaluator's doc comments.
 func TestParallelFingerprintUnderRace(t *testing.T) {
 	problems := map[string]Problem{
@@ -46,7 +46,7 @@ func TestParallelFingerprintUnderRace(t *testing.T) {
 			want := raceFingerprint(Enumerate(context.Background(), p))
 			for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 				for rep := 0; rep < 3; rep++ {
-					got := raceFingerprint(EnumerateParallel(context.Background(), p, workers))
+					got := raceFingerprint(Enumerate(context.Background(), withWorkers(p, workers)))
 					if got != want {
 						t.Fatalf("w%d rep %d: fingerprint diverged from sequential:\n--- got ---\n%s--- want ---\n%s",
 							workers, rep, got, want)
@@ -66,7 +66,7 @@ func TestParallelTruncationFingerprintUnderRace(t *testing.T) {
 	want := raceFingerprint(Enumerate(context.Background(), p))
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		for rep := 0; rep < 3; rep++ {
-			got := raceFingerprint(EnumerateParallel(context.Background(), p, workers))
+			got := raceFingerprint(Enumerate(context.Background(), withWorkers(p, workers)))
 			if got != want {
 				t.Fatalf("w%d rep %d: truncated fingerprint diverged:\n--- got ---\n%s--- want ---\n%s",
 					workers, rep, got, want)

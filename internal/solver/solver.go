@@ -15,8 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
-	"time"
 
 	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
@@ -46,7 +46,7 @@ type Problem struct {
 	// smoothness is re-checked from scratch on candidate solutions.
 	Prune bool
 	// Memoize caches f and g evaluations across the whole search (one
-	// desc.Evaluator per Enumerate/EnumerateParallel/Sample call), so
+	// desc.Evaluator per Enumerate/EnumerateCapture/Sample call), so
 	// shared trace prefixes are evaluated once. Transparent to results;
 	// false is the memoization ablation.
 	Memoize bool
@@ -68,22 +68,18 @@ type Problem struct {
 	// induction base f(⊥) ⊑ g(⊥) before trusting the shortcut (see
 	// newSearch).
 	Thm1 bool
-	// Compiled lowers the description's sides to descvm bytecode for the
-	// search's evaluations (see desc.EvalOptions). Observably transparent:
-	// the evaluator memo, all counters and every result are byte-identical
-	// to interpreted evaluation — the root differential suite enforces
-	// this across all shipped specs — so the flag only trades evaluation
-	// mechanics for speed. Sides that cannot lower (opaque combinators)
-	// silently keep the interpreter.
-	Compiled bool
-	// OnSolution, when non-nil, is invoked for each smooth solution as it
-	// is classified, always in canonical BFS order — sequentially at
-	// classification time, in the parallel search as the commit pointer
-	// passes the node (so emission order is independent of worker
-	// scheduling). The callback runs on the search's critical path (in
-	// the parallel search it briefly holds the pool lock) and must not
-	// block; buffer and hand off instead. The streaming service endpoint
-	// is the intended consumer.
+	// Workers is the number of search workers: 0 or 1 runs the search on
+	// the calling goroutine alone, a negative value uses GOMAXPROCS. It is
+	// a scheduling choice, not part of the problem's identity — results
+	// and every deterministic counter are byte-identical at any worker
+	// count, so it is neither fingerprinted nor checkpointed.
+	Workers int
+	// OnSolution, when non-nil, is invoked for each smooth solution as the
+	// search's commit pointer passes it, so emission is always in
+	// canonical BFS order, independent of worker scheduling. The callback
+	// runs on the search's critical path, holding the pool lock, and must
+	// not block; buffer and hand off instead. The streaming service
+	// endpoint is the intended consumer.
 	OnSolution func(trace.Trace)
 }
 
@@ -161,11 +157,11 @@ type search struct {
 	// capacity an expanding node's son list can need.
 	fanout int
 	fsupp  trace.ChanSet
-	// sonBuf is the reusable son-slot buffer of the sequential walks
-	// (enumerate, CheckInduction): capacity fanout, so expand never
-	// reallocates, and the consumer copies the sons into its queue
-	// before the next expand reuses the slots. The parallel search must
-	// not use it — its nodeOuts retain son slices until commit.
+	// sonBuf is the reusable son-slot buffer of the calling goroutine
+	// (the BFS loop's worker 0, Sample, CheckInduction): capacity fanout,
+	// so expand never reallocates, and the consumer copies the sons out
+	// before the next expand reuses the slots. Spawned workers allocate
+	// their own.
 	sonBuf []trace.Trace
 }
 
@@ -181,28 +177,33 @@ type candSet struct {
 }
 
 // newSearch builds the shared search state. single promises the caller
-// drives the search from one goroutine (Enumerate, Sample,
-// CheckInduction), letting the evaluator memo skip its locks;
-// EnumerateParallel must pass false.
+// drives the search from one goroutine (a one-worker Enumerate, Sample,
+// CheckInduction), letting the evaluator memo skip its locks; searches
+// with several workers, and checkpoints (which may resume with several),
+// must pass false.
 func newSearch(p Problem, single bool) *search {
 	s := &search{
 		p: p,
 		e: desc.NewEvaluatorOpts(p.D, desc.EvalOptions{
 			Memoize:        p.Memoize,
-			Compiled:       p.Compiled,
 			SingleThreaded: single,
 		}),
 		cands: make([]candSet, 0, len(p.Channels)),
 	}
 	for _, c := range p.Channels {
-		es := make([]trace.Event, len(p.Alphabet[c]))
-		hs := make([]uint64, len(es))
-		for i, m := range p.Alphabet[c] {
-			es[i] = trace.E(c, m)
-			hs[i] = es[i].Hash64()
+		s.fanout += len(p.Alphabet[c])
+	}
+	// One backing array each for every channel's events and hashes.
+	es := make([]trace.Event, 0, s.fanout)
+	hs := make([]uint64, 0, s.fanout)
+	for _, c := range p.Channels {
+		lo := len(es)
+		for _, m := range p.Alphabet[c] {
+			e := trace.E(c, m)
+			es = append(es, e)
+			hs = append(hs, e.Hash64())
 		}
-		s.cands = append(s.cands, candSet{ch: c, es: es, hs: hs})
-		s.fanout += len(es)
+		s.cands = append(s.cands, candSet{ch: c, es: es[lo:], hs: hs[lo:]})
 	}
 	s.sonBuf = make([]trace.Trace, 0, s.fanout)
 	if p.Thm1 && p.Prune && !p.D.F.Omega {
@@ -223,126 +224,32 @@ func newSearch(p Problem, single bool) *search {
 }
 
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
-// bounds and classifies every visited node. One memoized evaluator backs
-// the whole search (see Problem.Memoize), so f and g are applied at most
-// once per distinct trace; Result.Stats accounts for every node and edge.
+// bounds and classifies every visited node, with p.Workers workers (see
+// loop). One memoized evaluator backs the whole search (see
+// Problem.Memoize), so f and g are applied at most once per distinct
+// trace; Result.Stats accounts for every node and edge.
 //
 // The context is checked once per visited node: cancellation or an
 // expired deadline stops the search with Truncated and Canceled set, so
 // adversarial problems (wide alphabets, deep probes) cannot run
 // unbounded when the caller holds a deadline.
 func Enumerate(ctx context.Context, p Problem) Result {
-	s := newSearch(p, true)
-	res := enumerate(ctx, s)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
-	return res
-}
-
-func enumerate(ctx context.Context, s *search) Result {
+	workers := workerCount(p.Workers)
+	// A lone worker runs on the calling goroutine, so the evaluator may
+	// skip its memo locks.
+	s := newSearch(p, workers == 1)
 	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	seqLoop(ctx, s, &res, []trace.Trace{root}, nil)
+	s.loop(ctx, &res, []trace.Trace{root}, workers, nil)
 	return res
 }
 
-// seqLoop is the sequential BFS core, shared by Enumerate and the
-// checkpoint capture/resume paths. It folds classifications into res,
-// which may arrive pre-loaded with an already-classified prefix (a
-// resumed search); queue seeds the work list in canonical BFS order.
-//
-// A nil cp selects the plain semantics above. A non-nil cp selects
-// capture semantics: depth-bound nodes are fully expanded (instead of
-// probed with hasSon) and their admitted sons retained in cp as the
-// resume frontier, and a truncated run records its unclassified queue
-// remainder as cp.pending. Classification of every node is identical in
-// both modes — a bound node is Frontier iff it has at least one son —
-// only the bound-level edge accounting differs (expand visits every
-// candidate where hasSon stops at the first witness, and never counts
-// FrontierWitnesses). See Checkpoint for how that difference is reported.
-func seqLoop(ctx context.Context, s *search, res *Result, queue []trace.Trace, cp *Checkpoint) {
-	p := s.p
-	st := &res.Stats
-	start := time.Now()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		res.Nodes++
-		if p.CollectVisited {
-			res.Visited = append(res.Visited, cur)
-		}
-		st.Visited++
-		if ctx.Err() != nil {
-			res.Truncated = true
-			res.Canceled = true
-			st.Skipped++
-			if cp != nil {
-				cp.pending = append([]trace.Trace{cur}, queue...)
-			}
-			break
-		}
-		if p.MaxNodes > 0 && res.Nodes > p.MaxNodes {
-			res.Truncated = true
-			st.Skipped++
-			if cp != nil {
-				cp.pending = append([]trace.Trace{cur}, queue...)
-			}
-			break
-		}
-		lvl := st.level(cur.Len())
-		lvl.Nodes++
-		isSolution := s.classify(cur, st)
-		if isSolution {
-			res.Solutions = append(res.Solutions, cur)
-			st.Solutions++
-			lvl.Solutions++
-			if p.OnSolution != nil {
-				p.OnSolution(cur)
-			}
-		}
-		if cur.Len() >= p.MaxDepth {
-			switch {
-			case cp != nil:
-				// Capture mode: expand the bound node in full so the sons
-				// survive as the resume frontier. The role verdict is the
-				// same as hasSon's (a son exists iff expand admits one);
-				// retained sons must not live in sonBuf.
-				sons := s.expand(cur, st, nil)
-				if len(sons) > 0 {
-					res.Frontier = append(res.Frontier, cur)
-					st.Frontier++
-					cp.frontier = append(cp.frontier, frontierEntry{node: cur, sons: sons})
-					st.RetainedSons += len(sons)
-				} else if !isSolution {
-					res.DeadLeaves = append(res.DeadLeaves, cur)
-					st.Dead++
-				} else {
-					st.Closed++
-				}
-			case s.hasSon(cur, st):
-				res.Frontier = append(res.Frontier, cur)
-				st.Frontier++
-			case !isSolution:
-				res.DeadLeaves = append(res.DeadLeaves, cur)
-				st.Dead++
-			default:
-				st.Closed++
-			}
-			continue
-		}
-		sons := s.expand(cur, st, s.sonBuf[:0])
-		switch {
-		case len(sons) > 0:
-			st.Interior++
-		case isSolution:
-			st.Closed++
-		default:
-			res.DeadLeaves = append(res.DeadLeaves, cur)
-			st.Dead++
-		}
-		queue = append(queue, sons...)
+// workerCount resolves a Workers setting: 0 or 1 is one worker on the
+// calling goroutine, a negative value is GOMAXPROCS.
+func workerCount(w int) int {
+	if w < 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	st.Elapsed += time.Since(start)
+	return max(w, 1)
 }
 
 // classify decides the limit condition at a node, with the full
@@ -368,9 +275,9 @@ func (s *search) classify(t trace.Trace, st *SearchStats) bool {
 // whole subtree of the unpruned tree cut before any of it is expanded.
 // Each son is an O(1) persistent extension sharing u's spine.
 //
-// dst, when non-nil, supplies the son slots (the sequential walks pass
-// the search's reusable buffer); callers that retain the returned slice
-// past the next expand — the parallel search — must pass nil.
+// dst, when non-nil, supplies the son slots (a reusable buffer of
+// capacity fanout); callers that retain the returned slice past the
+// next expand — the resume frontier of a capture — must pass nil.
 func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []trace.Trace {
 	sons := dst
 	lvl := st.level(u.Len() + 1)

@@ -30,6 +30,12 @@ func dfmProblem(depth int) Problem {
 	}, depth)
 }
 
+// withWorkers returns p set to search with the given number of workers.
+func withWorkers(p Problem, workers int) Problem {
+	p.Workers = workers
+	return p
+}
+
 func TestEnumerateDFM(t *testing.T) {
 	res := Enumerate(context.Background(), dfmProblem(4))
 	// The complete merges: b, c and both d orders, in all interleavings
@@ -242,12 +248,7 @@ func TestCollectVisitedOptOut(t *testing.T) {
 		on := dfmProblem(4)
 		off := dfmProblem(4)
 		off.CollectVisited = false
-		var resOn, resOff Result
-		if workers == 1 {
-			resOn, resOff = Enumerate(ctx, on), Enumerate(ctx, off)
-		} else {
-			resOn, resOff = EnumerateParallel(ctx, on, workers), EnumerateParallel(ctx, off, workers)
-		}
+		resOn, resOff := Enumerate(ctx, withWorkers(on, workers)), Enumerate(ctx, withWorkers(off, workers))
 		if len(resOff.Visited) != 0 {
 			t.Fatalf("workers=%d: opt-out still collected %d visited nodes", workers, len(resOff.Visited))
 		}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"smoothproc/internal/desc"
@@ -67,19 +68,20 @@ type SearchStats struct {
 	Thm1AutoEdges int `json:"thm1_auto_edges,omitempty"`
 
 	// CompiledEval records that both description sides ran on descvm
-	// bytecode (Problem.Compiled requested and both sides lowered). Run
+	// bytecode; false means at least one side carried no lowerable IR (an
+	// opaque Go-closure side) and fell back to the interpreter. Run
 	// configuration, like Workers, not a search observable: every other
-	// deterministic counter is equal with the flag on or off, which is
-	// what the compiled-vs-interpreted differential suite asserts.
+	// deterministic counter is equal either way, which is what the
+	// compiled-vs-interpreted differential suite asserts.
 	CompiledEval bool `json:"compiled_eval,omitempty"`
 
-	// Workers is the pool size of a parallel search (zero for
-	// sequential). Steals counts work-stealing events — one worker taking
-	// the back half of another's claimed span — and IdleWaits counts
-	// parks of a worker that found the frontier momentarily dry. Both are
+	// Workers is the number of search workers (Problem.Workers resolved).
+	// Steals counts work-stealing events — one worker taking the back
+	// half of another's claimed span — and IdleWaits counts parks of a
+	// worker that found the frontier momentarily dry. Both are
 	// scheduling-dependent (reported with the "sched" unit, dropped from
 	// deterministic views); every other counter in this struct is equal
-	// across worker counts, including sequential.
+	// across worker counts.
 	Workers   int   `json:"workers,omitempty"`
 	Steals    int64 `json:"steals,omitempty"`
 	IdleWaits int64 `json:"idle_waits,omitempty"`
@@ -107,7 +109,12 @@ type LevelStats struct {
 }
 
 // level returns the stats slot for the given depth, growing as needed.
+// A search deepens one level at a time, so each growth reserves room
+// for several levels rather than one.
 func (s *SearchStats) level(depth int) *LevelStats {
+	if depth >= cap(s.Levels) {
+		s.Levels = slices.Grow(s.Levels, depth+8-len(s.Levels))
+	}
 	for len(s.Levels) <= depth {
 		s.Levels = append(s.Levels, LevelStats{Depth: len(s.Levels)})
 	}
@@ -186,7 +193,6 @@ func (s SearchStats) Report() report.Stats {
 	memo.Add("g applications", s.Eval.GApplies, "")
 	memo.Add("inflight waits", s.Eval.InflightWaits, "sched")
 	if s.CompiledEval {
-		// Only rendered when on, so interpreted-run goldens are unchanged.
 		memo.AddInt("compiled eval", 1)
 	}
 
@@ -208,7 +214,7 @@ func (s SearchStats) Report() report.Stats {
 	timing.Add("g evaluation", s.Eval.GNanos, "ns")
 
 	sections := []report.Section{search, pruning, memo}
-	if s.Workers > 0 {
+	if s.Workers > 1 {
 		sections = append(sections, parallel)
 	}
 	sections = append(sections, levels, timing)
@@ -219,10 +225,9 @@ func (s SearchStats) Report() report.Stats {
 // configuration-dependent field zeroed: Workers and CompiledEval (run
 // configuration), Steals, IdleWaits, Elapsed, and the evaluator's
 // wall-clock and in-flight-wait readings. Two searches of the same
-// problem — sequential or parallel, at any worker count, compiled or
-// interpreted — produce equal Deterministic views; the parity suite,
-// the differential suite and the CI smoke assertion compare exactly
-// this.
+// problem — at any worker count, compiled or interpreted — produce
+// equal Deterministic views; the parity suite, the differential suite
+// and the CI smoke assertion compare exactly this.
 func (s SearchStats) Deterministic() SearchStats {
 	s.Workers = 0
 	s.CompiledEval = false

@@ -35,7 +35,7 @@ func TestSearchStatsInvariants(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for mode, res := range map[string]Result{
 				"enumerate": Enumerate(context.Background(), p),
-				"parallel":  EnumerateParallel(context.Background(), p, 4),
+				"parallel":  Enumerate(context.Background(), withWorkers(p, 4)),
 			} {
 				st := res.Stats
 				if err := st.CheckInvariants(res.Truncated); err != nil {
@@ -62,7 +62,7 @@ func TestSearchStatsInvariants(t *testing.T) {
 // between the two search implementations.
 func TestStatsSequentialMatchesParallel(t *testing.T) {
 	p := dfmProblem(5)
-	a, b := Enumerate(context.Background(), p).Stats, EnumerateParallel(context.Background(), p, 4).Stats
+	a, b := Enumerate(context.Background(), p).Stats, Enumerate(context.Background(), withWorkers(p, 4)).Stats
 	type det struct {
 		visited, interior, frontier, dead, closed   int
 		solutions, checked, kept, pruned, witnesses int
@@ -136,7 +136,7 @@ func TestParallelBudgetExact(t *testing.T) {
 	for _, budget := range []int{1, 2, 5, 9} {
 		p := dfmProblem(6)
 		p.MaxNodes = budget
-		res := EnumerateParallel(context.Background(), p, 4)
+		res := Enumerate(context.Background(), withWorkers(p, 4))
 		if !res.Truncated {
 			t.Errorf("budget %d: not truncated", budget)
 		}
@@ -160,9 +160,9 @@ func TestParallelBudgetExact(t *testing.T) {
 // classified ones and the final skipped one alike.
 func TestParallelBudgetPrefix(t *testing.T) {
 	p := dfmProblem(4)
-	full := EnumerateParallel(context.Background(), p, 4)
+	full := Enumerate(context.Background(), withWorkers(p, 4))
 	p.MaxNodes = 6
-	cut := EnumerateParallel(context.Background(), p, 4)
+	cut := Enumerate(context.Background(), withWorkers(p, 4))
 	if cut.Nodes != 7 {
 		t.Fatalf("visited %d, want 7 (6 classified + 1 skipped)", cut.Nodes)
 	}
@@ -185,7 +185,7 @@ func TestParallelBudgetMatchesSequential(t *testing.T) {
 		p.MaxNodes = budget
 		seq := Enumerate(context.Background(), p)
 		for _, workers := range []int{1, 3, 4} {
-			par := EnumerateParallel(context.Background(), p, workers)
+			par := Enumerate(context.Background(), withWorkers(p, workers))
 			if par.Nodes != seq.Nodes || par.Truncated != seq.Truncated {
 				t.Errorf("budget %d w%d: nodes/truncated %d/%v, sequential %d/%v",
 					budget, workers, par.Nodes, par.Truncated, seq.Nodes, seq.Truncated)

@@ -88,7 +88,7 @@ func TestThm1ParallelMatches(t *testing.T) {
 	ctx := context.Background()
 	p := bufferProblem(4)
 	seq := Enumerate(ctx, p)
-	par := EnumerateParallel(ctx, p, 4)
+	par := Enumerate(ctx, withWorkers(p, 4))
 	if !par.Stats.Thm1FastPath {
 		t.Error("parallel run did not take the Theorem 1 path")
 	}

@@ -29,11 +29,10 @@
 //	           admissible.
 //
 // Everything here is an over-approximation of the *pruned* search — the
-// semantics Enumerate/EnumerateParallel implement; the Prune=false
-// ablation visits every extension and is deliberately out of scope. The
-// root plan-soundness suite holds Plan.Nodes(d) ≥ the solver's actual
-// node count (and MinNodes(d) ≤ it) on every shipped spec, sequential
-// and parallel crossed.
+// semantics Enumerate implements; the Prune=false ablation visits every
+// extension and is deliberately out of scope. The root plan-soundness
+// suite holds Plan.Nodes(d) ≥ the solver's actual node count (and
+// MinNodes(d) ≤ it) on every shipped spec, at 1 and 4 workers.
 package specplan
 
 import (

@@ -1,12 +1,11 @@
-// Cross-implementation parity suite: every shipped spec is solved by
-// sequential Enumerate and by the work-stealing EnumerateParallel at
-// several worker counts, and the complete observable result — the
-// fingerprint BENCH_solver.json tracks, the ordered result slices, and
-// every deterministic SearchStats counter — must be byte-identical.
-// This is the contract the parallel search advertises (deterministic
-// observable behaviour regardless of scheduling, the property Kahn
-// networks are built on) checked against the whole spec corpus rather
-// than hand-picked problems. It lives at the repo root because eqlang
+// Worker-count parity suite: every shipped spec is solved at one worker
+// and at several worker counts, and the complete observable result —
+// the fingerprint BENCH_solver.json tracks, the ordered result slices,
+// and every deterministic SearchStats counter — must be byte-identical.
+// This is the contract the work-stealing search advertises
+// (deterministic observable behaviour regardless of scheduling, the
+// property Kahn networks are built on) checked against the whole spec
+// corpus rather than hand-picked problems. It lives at the repo root because eqlang
 // imports the solver, so the solver's own tests cannot compile specs.
 package smoothproc_test
 
@@ -29,6 +28,12 @@ import (
 // the host really has.
 func parityWorkerCounts() []int {
 	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+}
+
+// withWorkers returns p set to search with the given number of workers.
+func withWorkers(p solver.Problem, workers int) solver.Problem {
+	p.Workers = workers
+	return p
 }
 
 func TestParallelParityAcrossSpecs(t *testing.T) {
@@ -56,7 +61,7 @@ func TestParallelParityAcrossSpecs(t *testing.T) {
 			seqFp := fingerprint(spec, seq)
 			seqStats := seq.Stats.Deterministic()
 			for _, workers := range parityWorkerCounts() {
-				par := solver.EnumerateParallel(context.Background(), p, workers)
+				par := solver.Enumerate(context.Background(), withWorkers(p, workers))
 				if got := fingerprint(spec, par); got != seqFp {
 					t.Errorf("w%d: fingerprint drifted:\n got %+v\nwant %+v", workers, got, seqFp)
 				}

@@ -64,9 +64,11 @@ func measure(name string, bench func(b *testing.B)) perfEntry {
 
 // solverWorkloads are the enumerate benchmarks the gate tracks — the
 // two specs with the deepest trees among the shipped examples, each
-// interpreted and compiled (the descvm acceptance workloads), plus the
-// work-stealing parallel search on the widest one at 1 and 4 workers
-// (the acceptance workload for the barrier-free scheduler).
+// interpreted (the sides' IR cleared, see interpreted) and compiled
+// (the descvm acceptance workloads), plus the work-stealing search on
+// the widest one at 1 and 4 workers (the acceptance workload for the
+// barrier-free scheduler). Every workload but …/enumerate runs compiled,
+// as the solver always does.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -82,7 +84,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		out[spec+"/enumerate"] = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := solver.Enumerate(context.Background(), prog.Problem())
+				res := solver.Enumerate(context.Background(), interpreted(prog.Problem()))
 				if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 					b.Fatal("search found nothing")
 				}
@@ -91,9 +93,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		out[spec+"/enumerate-compiled"] = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := prog.Problem()
-				p.Compiled = true
-				res := solver.Enumerate(context.Background(), p)
+				res := solver.Enumerate(context.Background(), prog.Problem())
 				if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 					b.Fatal("search found nothing")
 				}
@@ -171,7 +171,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 			out[fmt.Sprintf("%s/enumerate-parallel-w%d", spec, workers)] = func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := solver.EnumerateParallel(context.Background(), prog.Problem(), workers)
+					res := solver.Enumerate(context.Background(), withWorkers(prog.Problem(), workers))
 					if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 						b.Fatal("search found nothing")
 					}

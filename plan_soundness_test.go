@@ -53,12 +53,8 @@ func TestPlanSoundnessAcrossSpecs(t *testing.T) {
 					p.MaxDepth = depth
 					p.MaxNodes = 0
 					p.CollectVisited = false
-					var res solver.Result
-					if workers > 1 {
-						res = solver.EnumerateParallel(context.Background(), p, workers)
-					} else {
-						res = solver.Enumerate(context.Background(), p)
-					}
+					p.Workers = workers
+					res := solver.Enumerate(context.Background(), p)
 					actual := uint64(res.Nodes)
 					if actual > hi {
 						t.Errorf("depth %d workers %d: search visited %d nodes, plan bound is %d — the upper bound is unsound",

@@ -67,12 +67,8 @@ func TestResumeParityAcrossSpecs(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					half := prog.Problem()
 					half.MaxDepth = capDepth
-					var cp *solver.Checkpoint
-					if capW > 1 {
-						_, cp = solver.EnumerateParallelCapture(context.Background(), half, capW)
-					} else {
-						_, cp = solver.EnumerateCapture(context.Background(), half)
-					}
+					half.Workers = capW
+					_, cp := solver.EnumerateCapture(context.Background(), half)
 					// A capture with a retained frontier must have classified
 					// strictly fewer nodes than the cold solve — that unexplored
 					// remainder is the resume's work. (A tree that fits within
