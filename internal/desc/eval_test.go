@@ -25,13 +25,14 @@ func evalTestTraces() []trace.Trace {
 	return base.Prefixes()
 }
 
-// TestEvaluatorTransparent: memoized evaluation agrees with direct
+// TestEvaluatorTransparent: a worker's evaluation agrees with direct
 // application of both sides on every prefix, in any query order —
 // compiled (the default for sides that carry IR) and interpreted (IR
-// cleared, the fallback for opaque sides).
+// cleared, the fallback for opaque sides) — and counts one application
+// per call.
 func TestEvaluatorTransparent(t *testing.T) {
 	t.Run("compiled", func(t *testing.T) {
-		e := checkEvaluatorTransparent(t, evalTestDesc())
+		e, _ := checkEvaluatorTransparent(t, evalTestDesc())
 		if !e.Compiled() {
 			t.Error("sides with IR were not lowered to bytecode")
 		}
@@ -39,63 +40,57 @@ func TestEvaluatorTransparent(t *testing.T) {
 	t.Run("interpreted", func(t *testing.T) {
 		d := evalTestDesc()
 		d.F.IR, d.G.IR = nil, nil
-		e := checkEvaluatorTransparent(t, d)
+		e, s := checkEvaluatorTransparent(t, d)
 		if e.Compiled() {
 			t.Error("sides without IR reported as compiled")
 		}
-		// Only interpreted applications are timed (see timedRun).
-		if s := e.Snapshot(); s.FNanos <= 0 || s.GNanos <= 0 {
+		// Only interpreted applications are timed (see Worker.F).
+		if s.FNanos <= 0 || s.GNanos <= 0 {
 			t.Errorf("timers not running: f=%dns g=%dns", s.FNanos, s.GNanos)
 		}
 	})
 }
 
-func checkEvaluatorTransparent(t *testing.T, d Description) *Evaluator {
+func checkEvaluatorTransparent(t *testing.T, d Description) (*Evaluator, EvalSnapshot) {
 	t.Helper()
-	e := NewEvaluator(d, true)
+	e := NewEvaluator(d)
+	w := e.NewWorker()
+	var s EvalSnapshot
 	traces := evalTestTraces()
-	// Query twice, second pass entirely from cache.
+	// Forwards, then backwards: the worker's frame caches must not leak
+	// one base into another trace's answer.
 	for pass := 0; pass < 2; pass++ {
-		for _, tr := range traces {
-			if !e.F(tr).Equal(d.F.Apply(tr)) {
+		for i := range traces {
+			tr := traces[i]
+			if pass == 1 {
+				tr = traces[len(traces)-1-i]
+			}
+			if !w.F(tr, &s).Equal(d.F.Apply(tr)) {
 				t.Errorf("pass %d: F(%s) mismatch", pass, tr)
 			}
-			if !e.G(tr).Equal(d.G.Apply(tr)) {
+			if !w.G(tr, &s).Equal(d.G.Apply(tr)) {
 				t.Errorf("pass %d: G(%s) mismatch", pass, tr)
 			}
-			if e.LimitOK(tr) != d.LimitOK(tr) {
-				t.Errorf("pass %d: LimitOK(%s) mismatch", pass, tr)
-			}
 		}
 	}
-	for _, tr := range traces[1:] {
-		u := tr.Take(tr.Len() - 1)
-		if e.EdgeOK(u, tr) != d.EdgeOK(u, tr) {
-			t.Errorf("EdgeOK(%s, %s) mismatch", u, tr)
-		}
+	if want := int64(2 * len(traces)); s.FApplies != want || s.GApplies != want {
+		t.Errorf("applies = %d/%d, want %d each (one per call)", s.FApplies, s.GApplies, want)
 	}
-	s := e.Snapshot()
-	if s.FApplies != int64(len(traces)) || s.GApplies != int64(len(traces)) {
-		t.Errorf("applies = %d/%d, want %d each (one per distinct trace)",
-			s.FApplies, s.GApplies, len(traces))
-	}
-	if s.CacheHits() == 0 {
-		t.Error("no cache hits on repeated queries")
-	}
-	return e
+	return e, s
 }
 
-// TestEvaluatorUnmemoized: with the cache off every query applies the
-// underlying function and no hit is ever recorded.
+// TestEvaluatorUnmemoized: a worker keeps no per-trace state — every
+// call applies the side, and no hit is ever recorded (hits are the
+// search's reuses, not the evaluator's).
 func TestEvaluatorUnmemoized(t *testing.T) {
 	d := evalTestDesc()
-	e := NewEvaluator(d, false)
+	w := NewEvaluator(d).NewWorker()
+	var s EvalSnapshot
 	tr := evalTestTraces()[2]
 	for i := 0; i < 3; i++ {
-		e.F(tr)
-		e.G(tr)
+		w.F(tr, &s)
+		w.G(tr, &s)
 	}
-	s := e.Snapshot()
 	if s.FApplies != 3 || s.GApplies != 3 {
 		t.Errorf("applies = %d/%d, want 3 each", s.FApplies, s.GApplies)
 	}
@@ -107,57 +102,63 @@ func TestEvaluatorUnmemoized(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrent hammers one evaluator from several goroutines —
-// the multi-worker search's sharing pattern — and checks the results stay
-// correct and the books balance.
+// TestEvaluatorConcurrent runs one evaluator's workers on several
+// goroutines — the multi-worker search's sharing pattern: one compiled
+// program per side, one handle per goroutine — and checks the results
+// stay correct and each worker's books balance.
 func TestEvaluatorConcurrent(t *testing.T) {
 	d := evalTestDesc()
-	e := NewEvaluator(d, true)
+	e := NewEvaluator(d)
 	traces := evalTestTraces()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
-	for w := 0; w < 8; w++ {
+	snaps := make([]EvalSnapshot, 8)
+	for g := range snaps {
 		wg.Add(1)
-		go func() {
+		go func(s *EvalSnapshot) {
 			defer wg.Done()
+			w := e.NewWorker()
 			for i := 0; i < 200; i++ {
 				tr := traces[i%len(traces)]
-				if !e.F(tr).Equal(d.F.Apply(tr)) {
+				if !w.F(tr, s).Equal(d.F.Apply(tr)) {
 					select {
 					case errs <- "F mismatch on " + tr.String():
 					default:
 					}
 				}
-				if !e.G(tr).Equal(d.G.Apply(tr)) {
+				if !w.G(tr, s).Equal(d.G.Apply(tr)) {
 					select {
 					case errs <- "G mismatch on " + tr.String():
 					default:
 					}
 				}
 			}
-		}()
+		}(&snaps[g])
 	}
 	wg.Wait()
 	close(errs)
 	for msg := range errs {
 		t.Error(msg)
 	}
-	s := e.Snapshot()
-	total := s.CacheHits() + s.CacheMisses()
-	if total != 2*8*200 {
-		t.Errorf("hits+misses = %d, want %d", total, 2*8*200)
+	var total EvalSnapshot
+	for _, s := range snaps {
+		total.Add(s)
+	}
+	if got := total.CacheMisses(); got != 2*8*200 {
+		t.Errorf("applies = %d, want %d", got, 2*8*200)
 	}
 }
 
 // TestEvaluatorOmegaConst: OmegaConstFn's approximation depends on the
-// trace length, which the memo key determines — caching stays exact.
+// trace length, which the compiled frames must track exactly.
 func TestEvaluatorOmegaConst(t *testing.T) {
 	d := MustNew("ticks", fn.ChanFn("b"), fn.OmegaConstFn("trues", seq.Of(value.T)))
-	e := NewEvaluator(d, true)
+	w := NewEvaluator(d).NewWorker()
+	var s EvalSnapshot
 	for n := 0; n <= 4; n++ {
 		tr := trace.CycleGen("t", trace.Of(trace.E("b", value.T))).Prefix(n)
 		for i := 0; i < 2; i++ {
-			if !e.G(tr).Equal(d.G.Apply(tr)) {
+			if !w.G(tr, &s).Equal(d.G.Apply(tr)) {
 				t.Errorf("G mismatch at depth %d", n)
 			}
 		}
@@ -165,9 +166,9 @@ func TestEvaluatorOmegaConst(t *testing.T) {
 }
 
 // TestEvaluatorCollisionFallback forges two distinct traces onto the
-// same (hash, length) memo key and checks the evaluator's equality
-// fallback: the collision costs a second application (a miss), never a
-// wrong cached tuple.
+// same (hash, length) key and checks that a worker tells them apart: its
+// frame caches match bases by trace equality, so a key collision costs
+// a reload, never a wrong tuple.
 func TestEvaluatorCollisionFallback(t *testing.T) {
 	d := evalTestDesc()
 	a := trace.Of(trace.E("b", value.Int(0)), trace.E("d", value.Int(0)))
@@ -176,27 +177,18 @@ func TestEvaluatorCollisionFallback(t *testing.T) {
 	if fa.Key() != fb.Key() {
 		t.Fatal("forged keys should collide")
 	}
-	e := NewEvaluator(d, true)
-	va, vb := e.F(fa), e.F(fb)
-	if !va.Equal(d.F.Apply(a)) || !vb.Equal(d.F.Apply(b)) {
-		t.Fatal("collision produced a wrong tuple")
+	w := NewEvaluator(d).NewWorker()
+	var s EvalSnapshot
+	for i := 0; i < 2; i++ {
+		va, vb := w.F(fa, &s), w.F(fb, &s)
+		if !va.Equal(d.F.Apply(a)) || !vb.Equal(d.F.Apply(b)) {
+			t.Fatal("collision produced a wrong tuple")
+		}
+		if va.Equal(vb) {
+			t.Fatal("test needs traces with distinct images")
+		}
 	}
-	if va.Equal(vb) {
-		t.Fatal("test needs traces with distinct images")
-	}
-	s := e.Snapshot()
-	if s.FApplies != 2 || s.FHits != 0 {
-		t.Errorf("collision accounting: applies=%d hits=%d, want 2 misses", s.FApplies, s.FHits)
-	}
-	// Both entries live in one bucket; each is now served as a hit.
-	if got := e.F(fa); !got.Equal(va) {
-		t.Error("first colliding entry lost")
-	}
-	if got := e.F(fb); !got.Equal(vb) {
-		t.Error("second colliding entry lost")
-	}
-	s = e.Snapshot()
-	if s.FApplies != 2 || s.FHits != 2 {
-		t.Errorf("post-collision accounting: applies=%d hits=%d, want 2 and 2", s.FApplies, s.FHits)
+	if s.FApplies != 4 || s.FHits != 0 {
+		t.Errorf("collision accounting: applies=%d hits=%d, want 4 and 0", s.FApplies, s.FHits)
 	}
 }

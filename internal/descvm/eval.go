@@ -305,8 +305,9 @@ func (p *Prog) exec(fr *frame, rawLen int) fn.Tuple {
 		}
 	}
 
-	// Copy the outputs into one fresh backing array: callers (the
-	// evaluator memo in particular) retain the Tuple indefinitely, while
+	// Copy the outputs into one fresh backing array: callers (the search,
+	// which hands f(v) from v's admitting edge to v's limit check, and a
+	// checkpoint's retained sons) keep the Tuple indefinitely, while
 	// every non-stable register aliases frame state that the next Eval
 	// overwrites. Table constants (stable registers) are immutable and
 	// shared, exactly as the interpreter's ConstTraceFn shares its k.

@@ -186,6 +186,9 @@ type JobView struct {
 type SpanView struct {
 	Name string  `json:"name"`
 	Ms   float64 `json:"ms"`
+	// Error is set on the run span of a job whose run panicked: the
+	// panic value and stack.
+	Error string `json:"error,omitempty"`
 }
 
 // SessionRequest is the body of POST /v1/sessions (create or first
@@ -213,8 +216,9 @@ type SessionView struct {
 	SpecHash string `json:"spec_hash"`
 	// Depth is the session's current depth bound; Nodes its commit
 	// pointer (nodes classified so far); Frontier the retained
-	// depth-bound nodes a resume deepens from; MemoEntries the evaluator
-	// memo footprint the session keeps warm.
+	// depth-bound nodes a resume deepens from; MemoEntries the f tuples
+	// it retains with its frontier sons and pending nodes, which the next
+	// leg reuses instead of applying f again.
 	Depth       int `json:"depth"`
 	Nodes       int `json:"nodes"`
 	Frontier    int `json:"frontier"`

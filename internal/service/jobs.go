@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"smoothproc/internal/metrics"
+	"smoothproc/internal/solver"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -110,7 +112,10 @@ type Job struct {
 	state  JobState
 	result *SolveResult
 	err    string
-	done   chan struct{}
+	// panicked marks a job whose run panicked; err then holds the panic
+	// value and stack, which the run span also carries.
+	panicked bool
+	done     chan struct{}
 
 	// Lifecycle timestamps: submittedAt is set by Submit, startedAt when
 	// a worker picks the job up, doneAt at the terminal transition. They
@@ -445,7 +450,7 @@ func (s *Scheduler) worker() {
 		if timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 		}
-		res, err := j.run(ctx)
+		res, panicked, err := runIsolated(ctx, j.run)
 		cancel()
 
 		s.mu.Lock()
@@ -453,6 +458,7 @@ func (s *Scheduler) worker() {
 		case err != nil:
 			j.state = JobFailed
 			j.err = err.Error()
+			j.panicked = panicked
 			s.failed.Inc()
 			tq.failed.Inc()
 		case res != nil && res.Canceled:
@@ -480,6 +486,28 @@ func (s *Scheduler) worker() {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
+}
+
+// runIsolated runs one job, turning a panic in it into the job's error:
+// one bad job fails alone instead of taking every tenant's work down
+// with the daemon. A *solver.WorkerPanic (a search worker's panic,
+// re-raised on this goroutine) carries the worker's own stack; any
+// other panic is reported with this goroutine's.
+func runIsolated(ctx context.Context, run func(context.Context) (*SolveResult, error)) (res *SolveResult, panicked bool, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		res, panicked = nil, true
+		if wp, ok := v.(*solver.WorkerPanic); ok {
+			err = fmt.Errorf("service: job panicked: %w", wp)
+		} else {
+			err = fmt.Errorf("service: job panicked: %v\n\n%s", v, debug.Stack())
+		}
+	}()
+	res, err = run(ctx)
+	return res, false, err
 }
 
 // Get returns the job by ID.
@@ -523,7 +551,11 @@ func (s *Scheduler) View(j *Job) JobView {
 	}
 	v.Spans = append(v.Spans, SpanView{Name: "queue", Ms: v.QueueMs})
 	if !j.startedAt.IsZero() {
-		v.Spans = append(v.Spans, SpanView{Name: "run", Ms: v.RunMs})
+		run := SpanView{Name: "run", Ms: v.RunMs}
+		if j.panicked {
+			run.Error = j.err
+		}
+		v.Spans = append(v.Spans, run)
 	}
 	if j.result != nil {
 		r := *j.result

@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smoothproc/internal/solver"
 )
 
 func okResult() *SolveResult { return &SolveResult{Nodes: 1} }
@@ -414,5 +417,63 @@ func TestSchedulerSpans(t *testing.T) {
 	}
 	if len(names) != 3 || names[0] != "admit" || names[1] != "queue" || names[2] != "run" {
 		t.Errorf("span names = %v, want [admit queue run]", names)
+	}
+}
+
+// TestSchedulerIsolatesPanics: a job whose run panics fails alone — its
+// state is failed, its error and run span carry the panic value and
+// stack, the failed counters move, its tenant's running slot is released
+// — and a later job on the same single-worker scheduler still completes.
+func TestSchedulerIsolatesPanics(t *testing.T) {
+	s := NewScheduler(1, 4)
+	defer s.Shutdown(context.Background())
+	bad, err := s.Submit(Submission{Tenant: "mallory", SpecHash: "h", Run: func(context.Context) (*SolveResult, error) {
+		panic("side exploded")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-bad.Done()
+	v := s.View(bad)
+	if v.State != JobFailed || v.Result != nil {
+		t.Fatalf("panicking job: state %s result %v, want failed and no result", v.State, v.Result)
+	}
+	if !strings.Contains(v.Error, "side exploded") || !strings.Contains(v.Error, "goroutine") {
+		t.Errorf("job error %q lacks the panic value or stack", v.Error)
+	}
+	if run := v.Spans[len(v.Spans)-1]; run.Name != "run" || run.Error != v.Error {
+		t.Errorf("run span %+v does not carry the panic", run)
+	}
+	if _, _, failed, _ := s.Counts(); failed != 1 {
+		t.Errorf("failed counter = %d, want 1", failed)
+	}
+
+	good, err := s.Submit(Submission{Tenant: "mallory", SpecHash: "h", Run: func(context.Context) (*SolveResult, error) {
+		return okResult(), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-good.Done()
+	if v := s.View(good); v.State != JobDone || v.Spans[len(v.Spans)-1].Error != "" {
+		t.Errorf("job after the panic: state %s spans %+v, want done with a clean run span", v.State, v.Spans)
+	}
+	for _, ts := range s.TenantStats() {
+		if ts.Tenant == "mallory" && (ts.Failed != 1 || ts.Completed != 1 || ts.Running != 0 || ts.Inflight != 0) {
+			t.Errorf("tenant accounting after the panic: %+v", ts)
+		}
+	}
+
+	// A search worker's panic re-raised on the job's goroutine reports the
+	// worker's stack, not the re-raise site's.
+	wp, err := s.Submit(Submission{SpecHash: "h", Run: func(context.Context) (*SolveResult, error) {
+		panic(&solver.WorkerPanic{Value: "worker exploded", Stack: []byte("worker-stack-frames")})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-wp.Done()
+	if v := s.View(wp); v.State != JobFailed || !strings.Contains(v.Error, "worker exploded") || !strings.Contains(v.Error, "worker-stack-frames") {
+		t.Errorf("worker panic: state %s error %q", v.State, v.Error)
 	}
 }

@@ -35,7 +35,7 @@ type Config struct {
 	SpecCacheSize   int
 	ResultCacheSize int
 	// SessionCacheSize bounds the live solve sessions (default 64). Each
-	// session retains its search frontier and evaluator memo, so this cap
+	// session retains its search frontier with its f tuples, so this cap
 	// is the server's incremental-state memory knob.
 	SessionCacheSize int
 	// MaxDepth caps the probe depth a request may ask for (default 12).
@@ -176,13 +176,12 @@ type Server struct {
 	sessionRestores metrics.Counter
 	storeErrors     metrics.Counter
 	// Work-stealing residue accumulated across parallel searches: steal
-	// events, worker parks, and memo in-flight waits. Scheduling noise by
-	// nature (never part of cached results), but the totals show whether
-	// the pool is actually sharing work or idling.
-	steals        metrics.Counter
-	idleWaits     metrics.Counter
-	inflightWaits metrics.Counter
-	start         time.Time
+	// events and worker parks. Scheduling noise by nature (never part of
+	// cached results), but the totals show whether the pool is actually
+	// sharing work or idling.
+	steals    metrics.Counter
+	idleWaits metrics.Counter
+	start     time.Time
 }
 
 // New builds a server and starts its worker pool. Callers own shutdown:
@@ -607,7 +606,6 @@ func (s *Server) countSearch(res solver.Result, newNodes, newSolutions int) {
 	s.solutions.Add(int64(newSolutions))
 	s.steals.Add(res.Stats.Steals)
 	s.idleWaits.Add(res.Stats.IdleWaits)
-	s.inflightWaits.Add(res.Stats.Eval.InflightWaits)
 }
 
 // wireResult converts a solver result to the wire form. Its stats carry
@@ -861,7 +859,6 @@ func (s *Server) Metrics() report.Stats {
 	search.Add("solutions found total", s.solutions.Load(), "")
 	search.Add("work steals total", s.steals.Load(), "sched")
 	search.Add("idle waits total", s.idleWaits.Load(), "sched")
-	search.Add("memo inflight waits total", s.inflightWaits.Load(), "sched")
 
 	return report.Stats{Sections: []report.Section{server, cache, admission, jobs, sessions, storeSec, tenants, search}}
 }

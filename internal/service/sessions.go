@@ -27,7 +27,7 @@ type sessionEntry struct {
 // sessionFor returns the session for a compiled spec — live from the
 // cache, restored from the durable store's checkpoint, or (when create
 // is set) fresh. Serialized so concurrent lookups converge on one
-// session (whose evaluator memo and frontier they then share). The
+// session (whose retained frontier they then share). The
 // returned entry is pinned against eviction; the caller must
 // s.sessions.Unpin(hash) when its leg is done.
 func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec, create bool) (*sessionEntry, bool) {
@@ -42,7 +42,8 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 	p.CollectVisited = false
 	// A persisted session (same spec) resumes
 	// exactly where the previous process stopped: the decoder verifies
-	// the checkpoint's content address and rebuilds frontier and memo.
+	// the checkpoint's content address and rebuilds the frontier with its
+	// f tuples.
 	if meta, err := s.store.Get(ctx, store.KindSession, store.Key(hash)); err == nil {
 		sess, err := session.Decode(meta, p, spec.prog.System, func(ref string) ([]byte, error) {
 			return s.store.Get(ctx, store.KindCheckpoint, store.Key(ref))

@@ -1,8 +1,8 @@
 // Session serialization. A session splits into two blobs so the service
 // can store them content-addressed: a small meta blob (identity, bounds,
 // leg counters) and the checkpoint blob it references by SHA-256 — the
-// heavy part, holding the classified prefix, frontier and evaluator memo
-// through the solver codec. Decode verifies the fetched checkpoint
+// heavy part, holding the classified prefix and the frontier with its f
+// tuples through the solver codec. Decode verifies the fetched checkpoint
 // against the reference before trusting a byte of it, so a store that
 // hands back the wrong (or bit-rotted) blob fails closed.
 //

@@ -28,8 +28,8 @@ type DeltaCheckReport struct {
 }
 
 // DeltaCheck is the differential guard on Delta: it solves the
-// eliminated system fresh at the session's depth and verifies that memo
-// and result reuse cannot have changed Solutions —
+// eliminated system fresh at the session's depth and verifies that
+// checkpoint and result reuse cannot have changed Solutions —
 //
 //   - Theorem 5 direction: every projected session solution is a fresh
 //     solution of the eliminated system;

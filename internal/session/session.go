@@ -1,8 +1,8 @@
 // Package session implements resumable solve sessions: a session binds a
 // problem identity (the spec hash in the service) to a capture-mode
 // solver checkpoint — the classified canonical prefix, the retained
-// frontier of depth-bound sons, the commit pointer and the evaluator
-// memo handle — so that re-solving the same spec at larger bounds
+// frontier of depth-bound sons with their f tuples, and the commit
+// pointer — so that re-solving the same spec at larger bounds
 // deepens the existing search instead of starting cold, and re-solving
 // at the same bounds replays the stored result.
 //
@@ -213,7 +213,8 @@ func (s *Session) FrontierSize() int {
 	return s.cp.FrontierSize()
 }
 
-// MemoEntries returns the evaluator memo footprint the session retains.
+// MemoEntries returns the number of f tuples the session retains with
+// its frontier sons and pending nodes (see solver.Checkpoint.MemoEntries).
 func (s *Session) MemoEntries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -57,6 +57,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(keys(res2.Solutions), keys(cold2.Solutions)) {
 		t.Fatalf("depth-2 solutions %v, want %v", keys(res2.Solutions), keys(cold2.Solutions))
 	}
+	if s.MemoEntries() == 0 {
+		t.Fatal("depth-2 session retains no f tuples for its frontier sons")
+	}
 
 	res4, out, err := s.Solve(ctx, Options{Depth: 4, Workers: 2})
 	if err != nil || out != Resumed {
@@ -90,7 +93,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if solves, resumes, replays := counts(s); solves != 3 || resumes != 1 || replays != 1 {
 		t.Fatalf("counts (%d,%d,%d), want (3,1,1)", solves, resumes, replays)
 	}
-	if s.Depth() != 4 || s.Nodes() != cold4.Nodes || s.MemoEntries() == 0 {
+	// Depth 4 exhausts this alphabet: no frontier, so no retained tuples.
+	if s.Depth() != 4 || s.Nodes() != cold4.Nodes || s.MemoEntries() != 0 {
 		t.Fatalf("accessors: depth %d nodes %d memo %d", s.Depth(), s.Nodes(), s.MemoEntries())
 	}
 }

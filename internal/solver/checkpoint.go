@@ -3,9 +3,10 @@
 // BFS order's classified prefix (the Result), the depth-bound nodes'
 // admitted sons (the retained frontier, in commit order), any
 // unclassified queue remainder of a truncated run (the pending nodes),
-// and the evaluator memo handle. Resuming re-enters the BFS from that
-// frontier, so the already-classified prefix is never re-expanded — and
-// because every per-node contribution to the result and the memo is
+// each retained node with the f tuple its admitting edge computed.
+// Resuming re-enters the BFS from that frontier, so the
+// already-classified prefix is never re-expanded — and because every
+// per-node contribution to the result and the evaluation counters is
 // independent of when the node was processed, a resumed search's Result
 // is byte-identical to a cold solve at the target bounds.
 //
@@ -34,25 +35,23 @@ import (
 // admitted sons, in canonical order — the unit of the resume frontier.
 type frontierEntry struct {
 	node trace.Trace
-	sons []trace.Trace
+	sons []son
 }
 
 // Checkpoint is the retained state of a capture-mode search: the problem
 // (whose bounds track the latest leg), the shared search machinery — the
-// evaluator memo handle and interned candidates — the last leg's Result,
+// compiled evaluator and interned candidates — the last leg's Result,
 // the resume frontier, and the pending queue of a truncated run.
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
-// (the session subsystem) serialize resumes. The evaluator inside is
-// always built in its locked (concurrency-safe) mode, so every leg may
-// run with any number of workers — the memo's hit/apply counters are
-// byte-identical either way (the evaluator's single-threaded/locked
-// parity contract).
+// (the session subsystem) serialize resumes. Every leg may run with any
+// number of workers: each worker evaluates through its own handle, and
+// the counters are byte-identical either way.
 type Checkpoint struct {
 	s        *search
 	done     Result
 	frontier []frontierEntry
-	pending  []trace.Trace
+	pending  []son
 	resumes  int
 	finaled  bool
 }
@@ -61,12 +60,8 @@ type Checkpoint struct {
 // Result (see the package comment for the bound-level stats caveat),
 // plus a Checkpoint that can resume the search at larger bounds.
 func EnumerateCapture(ctx context.Context, p Problem) (Result, *Checkpoint) {
-	// The locked evaluator keeps the checkpoint resumable with any
-	// number of workers.
-	s := newSearch(p, false)
-	cp := &Checkpoint{s: s}
-	var res Result
-	s.loop(ctx, &res, []trace.Trace{root}, workerCount(p.Workers), cp)
+	cp := &Checkpoint{s: newSearch(p)}
+	res := cp.s.fromRoot(ctx, workerCount(p.Workers), cp)
 	cp.done = res
 	return res, cp
 }
@@ -149,7 +144,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	// at this point: the pending remainder first (BFS level order puts
 	// every pending node before any frontier son), then the retained
 	// frontier's sons in commit order.
-	queue := append([]trace.Trace(nil), cp.pending...)
+	queue := append([]son(nil), cp.pending...)
 	if deepen {
 		st.Interior += st.Frontier
 		st.Frontier = 0
@@ -220,6 +215,23 @@ func (cp *Checkpoint) Resumes() int { return cp.resumes }
 // Resumable reports whether another Resume may run (false after Final).
 func (cp *Checkpoint) Resumable() bool { return !cp.finaled }
 
-// MemoEntries returns the number of retained evaluator memo entries —
-// the footprint the checkpoint keeps alive between legs.
-func (cp *Checkpoint) MemoEntries() int { return cp.s.e.MemoEntries() }
+// MemoEntries returns the number of f tuples the checkpoint retains
+// between legs: one per frontier son and pending node whose admitting
+// edge evaluated f.
+func (cp *Checkpoint) MemoEntries() int {
+	n := countTuples(cp.pending)
+	for _, fe := range cp.frontier {
+		n += countTuples(fe.sons)
+	}
+	return n
+}
+
+func countTuples(ns []son) int {
+	n := 0
+	for _, v := range ns {
+		if v.f != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -1,21 +1,20 @@
 // Checkpoint serialization. A checkpoint is exactly the state the §3.3
 // chain view calls a chain element — the classified BFS prefix, the
-// retained frontier, the pending queue — plus the evaluator memo, so a
-// decoded checkpoint resumes to a solve byte-identical to one that never
-// left memory, deterministic fingerprint (evaluator hit/miss counters
-// included) and all. The blob rides on the trace codec: every retained
-// trace is a reference into one shared node pool, so the prefix sharing
-// between solutions, frontier sons, visited lists and memo keys costs
-// one spine on disk, exactly as in memory.
+// retained frontier, the pending queue, each retained node with its f
+// tuple — so a decoded checkpoint resumes to a solve byte-identical to
+// one that never left memory, deterministic fingerprint (evaluator
+// hit/apply counters included) and all. The blob rides on the trace
+// codec: every retained trace is a reference into one shared node pool,
+// so the prefix sharing between solutions, frontier sons and visited
+// lists costs one spine on disk, exactly as in memory.
 //
 // What is NOT serialized: the Problem's function values (the description
 // sides and callbacks). DecodeCheckpoint takes a caller-supplied Problem
 // — rebuilt from the stored spec source — and verifies the stored search
 // flags against it, overriding only the bounds the blob carries. The
-// evaluator is reconstructed by re-running newSearch (the Theorem 1
-// induction base check re-evaluates both sides at ⊥, as a live capture's
-// constructor did) and then seeded with the exported memo entries and
-// exact counter baselines.
+// search machinery is rebuilt by re-running newSearch; the counters
+// continue from the stored Result's, since only a search from the root
+// counts the constructor's Theorem 1 induction-base evaluations.
 package solver
 
 import (
@@ -23,14 +22,13 @@ import (
 
 	"time"
 
-	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
 	"smoothproc/internal/trace"
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -58,15 +56,11 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	e.Uvarint(uint64(len(cp.frontier)))
 	for _, fe := range cp.frontier {
 		e.Trace(fe.node)
-		encodeTraces(e, fe.sons)
+		encodeSons(e, fe.sons)
 	}
-	encodeTraces(e, cp.pending)
+	encodeSons(e, cp.pending)
 	e.Varint(int64(cp.resumes))
 	e.Bool(cp.finaled)
-
-	fm, gm := cp.s.e.ExportMemo()
-	encodeMemo(e, fm)
-	encodeMemo(e, gm)
 	return e.Bytes(), nil
 }
 
@@ -136,13 +130,13 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sons, err := decodeTraces(d)
+		sons, err := decodeSons(d)
 		if err != nil {
 			return nil, err
 		}
 		frontier = append(frontier, frontierEntry{node: node, sons: sons})
 	}
-	pending, err := decodeTraces(d)
+	pending, err := decodeSons(d)
 	if err != nil {
 		return nil, err
 	}
@@ -155,29 +149,11 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 		return nil, err
 	}
 
-	fm, err := decodeMemo(d)
-	if err != nil {
-		return nil, err
-	}
-	gm, err := decodeMemo(d)
-	if err != nil {
-		return nil, err
-	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-
-	// Rebuild the search machinery. The constructor may run the Theorem 1
-	// induction base check, evaluating both sides at ⊥ — SeedMemo skips
-	// entries that insert already cached (sides are pure, so the fresh ⊥
-	// tuples equal the exported ones) and SeedSnapshot then pins the
-	// apply/hit counters to exactly the captured values.
-	s := newSearch(p, false)
-	s.e.SeedMemo(fm, gm)
-	s.e.SeedSnapshot(res.Stats.Eval)
-
 	return &Checkpoint{
-		s:        s,
+		s:        newSearch(p),
 		done:     res,
 		frontier: frontier,
 		pending:  pending,
@@ -282,7 +258,7 @@ func encodeStats(e *trace.Encoder, s SearchStats) {
 	}
 	for _, n := range []int64{
 		s.Eval.FApplies, s.Eval.GApplies, s.Eval.FHits, s.Eval.GHits,
-		s.Eval.InflightWaits, s.Eval.FNanos, s.Eval.GNanos,
+		s.Eval.FNanos, s.Eval.GNanos,
 	} {
 		e.Varint(n)
 	}
@@ -342,7 +318,7 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 	}
 	evals := []*int64{
 		&s.Eval.FApplies, &s.Eval.GApplies, &s.Eval.FHits, &s.Eval.GHits,
-		&s.Eval.InflightWaits, &s.Eval.FNanos, &s.Eval.GNanos,
+		&s.Eval.FNanos, &s.Eval.GNanos,
 	}
 	for _, p := range evals {
 		if *p, err = d.Varint(); err != nil {
@@ -352,33 +328,47 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 	return s, nil
 }
 
-func encodeMemo(e *trace.Encoder, es []desc.MemoEntry) {
-	e.Uvarint(uint64(len(es)))
-	for _, en := range es {
-		e.Trace(en.T)
-		encodeTuple(e, en.V)
+// encodeSons writes retained nodes with their f tuples, a presence flag
+// before each tuple (nil: no edge check evaluated it).
+func encodeSons(e *trace.Encoder, ns []son) {
+	e.Uvarint(uint64(len(ns)))
+	for _, v := range ns {
+		e.Trace(v.t)
+		e.Bool(v.f != nil)
+		if v.f != nil {
+			encodeTuple(e, v.f)
+		}
 	}
 }
 
-func decodeMemo(d *trace.Decoder) ([]desc.MemoEntry, error) {
+func decodeSons(d *trace.Decoder) ([]son, error) {
 	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(d.Remaining()/9)+1 {
-		return nil, fmt.Errorf("memo claims %d entries in %d bytes: %w", n, d.Remaining(), trace.ErrCorrupt)
+	// Each encoded son costs ≥ 10 bytes (trace ref + fixed64 key + flag).
+	if n > uint64(d.Remaining()/10)+1 {
+		return nil, fmt.Errorf("son list claims %d entries in %d bytes: %w", n, d.Remaining(), trace.ErrCorrupt)
 	}
-	out := make([]desc.MemoEntry, 0, n)
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]son, 0, n)
 	for i := uint64(0); i < n; i++ {
-		t, err := d.Trace()
+		var v son
+		if v.t, err = d.Trace(); err != nil {
+			return nil, err
+		}
+		has, err := d.Bool()
 		if err != nil {
 			return nil, err
 		}
-		v, err := decodeTuple(d)
-		if err != nil {
-			return nil, err
+		if has {
+			if v.f, err = decodeTuple(d); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, desc.MemoEntry{T: t, V: v})
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -226,9 +226,10 @@ func TestCheckpointCodecResumeParity(t *testing.T) {
 }
 
 func TestCheckpointCodecEqualStats(t *testing.T) {
-	// The decoded checkpoint's full (non-Deterministic) counter set for
-	// the deterministic fields must equal the live one; spot-check the
-	// eval snapshot directly since fingerprints hang off it.
+	// The decoded checkpoint's evaluation counters and retained f tuples
+	// must equal the live ones: the counters are what fingerprints hang
+	// off, and the tuples are what a resumed leg reuses instead of
+	// applying f again.
 	_, cp := EnumerateCapture(context.Background(), dfmProblem(3))
 	blob, err := cp.Encode()
 	if err != nil {
@@ -238,10 +239,14 @@ func TestCheckpointCodecEqualStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := cp.s.e.Snapshot()
-	got := dec.s.e.Snapshot()
-	live.FNanos, live.GNanos, got.FNanos, got.GNanos = 0, 0, 0, 0
-	if !reflect.DeepEqual(got, live) {
-		t.Fatalf("decoded evaluator snapshot %+v, live %+v", got, live)
+	live, got := cp.Result().Stats.Eval, dec.Result().Stats.Eval
+	if got != live {
+		t.Fatalf("decoded evaluation counters %+v, live %+v", got, live)
+	}
+	if cp.MemoEntries() == 0 {
+		t.Fatal("capture retained no f tuples")
+	}
+	if !reflect.DeepEqual(dec.frontier, cp.frontier) || !reflect.DeepEqual(dec.pending, cp.pending) {
+		t.Fatal("decoded frontier or pending nodes differ from the live ones")
 	}
 }

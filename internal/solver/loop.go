@@ -9,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"smoothproc/internal/desc"
+	"smoothproc/internal/fn"
 	"smoothproc/internal/trace"
 )
 
@@ -31,14 +33,15 @@ type nodeOut struct {
 	// the canonical order (the commit loop skips them; the capture
 	// collection reads them instead).
 	bound bool
-	sons  []trace.Trace
+	sons  []son
 }
 
-// slot is one position of the canonical BFS order: the node and, once
-// a worker has visited it, its classification.
+// slot is one position of the canonical BFS order: the node with its f
+// tuple (dropped once the node is committed) and, once a worker has
+// visited it, its classification.
 type slot struct {
-	node trace.Trace
-	out  nodeOut
+	son
+	out nodeOut
 }
 
 // span is a claimed range of canonical BFS indices [pos, hi). The owner
@@ -97,7 +100,7 @@ func (ws *wsState) claimable() int {
 // call) and hands it its next node. The unlock is deferred because
 // record runs caller code (Problem.OnSolution): a panicking callback
 // must not leave the lock held while the pool drains.
-func (ws *wsState) handoff(ctx context.Context, w, i int, o nodeOut) (int, trace.Trace, bool) {
+func (ws *wsState) handoff(ctx context.Context, w, i int, o nodeOut) (int, son, bool) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if i >= 0 {
@@ -111,21 +114,21 @@ func (ws *wsState) handoff(ctx context.Context, w, i int, o nodeOut) (int, trace
 // claimable node is done, or the context was cancelled. Cancellation is
 // checked here, once per node, so a cancelled search abandons whole
 // spans but never a node mid-classification. Called with mu held.
-func (ws *wsState) take(ctx context.Context, w int) (int, trace.Trace, bool) {
+func (ws *wsState) take(ctx context.Context, w int) (int, son, bool) {
 	for {
 		if ws.stopped {
-			return 0, trace.Trace{}, false
+			return 0, son{}, false
 		}
 		if ctx.Err() != nil {
 			ws.canceled = true
 			ws.stopped = true
 			ws.cond.Broadcast()
-			return 0, trace.Trace{}, false
+			return 0, son{}, false
 		}
 		if sp := &ws.spans[w]; sp.pos < sp.hi {
 			i := sp.pos
 			sp.pos++
-			return i, ws.slots[i].node, true
+			return i, ws.slots[i].son, true
 		}
 		if avail := ws.claimable(); ws.next < avail {
 			// Refill from the unclaimed pool: an even split of what's
@@ -163,7 +166,7 @@ func (ws *wsState) take(ctx context.Context, w int) (int, trace.Trace, bool) {
 			// commit has caught up and slots can never grow again.
 			ws.stopped = true
 			ws.cond.Broadcast()
-			return 0, trace.Trace{}, false
+			return 0, son{}, false
 		}
 		// Other workers are mid-node; their sons may refill the pool.
 		ws.idles++
@@ -184,20 +187,21 @@ func (ws *wsState) take(ctx context.Context, w int) (int, trace.Trace, bool) {
 func (ws *wsState) record(i int, o nodeOut) {
 	o.done = true
 	if i != ws.committed && !o.bound && len(o.sons) > 0 {
-		o.sons = append([]trace.Trace(nil), o.sons...)
+		o.sons = append([]son(nil), o.sons...)
 	}
 	ws.slots[i].out = o
 	ws.doneCnt++
 	for ws.committed < len(ws.slots) && ws.slots[ws.committed].out.done {
 		sl := &ws.slots[ws.committed]
+		sl.f = nil // read by the node's visit; nothing reads it again
 		if sl.out.solution && ws.emit != nil {
-			ws.emit(sl.node)
+			ws.emit(sl.t)
 		}
 		if !sl.out.bound {
 			sons := sl.out.sons
 			sl.out.sons = nil
-			for _, son := range sons {
-				ws.slots = append(ws.slots, slot{node: son})
+			for _, v := range sons {
+				ws.slots = append(ws.slots, slot{son: v})
 			}
 		}
 		ws.committed++
@@ -242,17 +246,18 @@ func (ws *wsState) recoverWorker() {
 	}
 }
 
-// work is worker w's handoff–visit cycle, accounting edge and level
-// counters into st and expanding into buf.
-func (s *search) work(ctx context.Context, ws *wsState, w int, st *SearchStats, buf []trace.Trace) {
+// work is worker w's handoff–visit cycle, evaluating through ev,
+// accounting edge, level and evaluation counters into st and expanding
+// into buf.
+func (s *search) work(ctx context.Context, ws *wsState, w int, ev *desc.Worker, st *SearchStats, buf []son) {
 	i, o := -1, nodeOut{}
 	for {
-		var cur trace.Trace
+		var cur son
 		var ok bool
 		if i, cur, ok = ws.handoff(ctx, w, i, o); !ok {
 			return
 		}
-		o = s.visit(cur, st, ws.capture, buf)
+		o = s.visit(ev, cur, st, ws.capture, buf)
 	}
 }
 
@@ -282,7 +287,7 @@ func (s *search) work(ctx context.Context, ws *wsState, w int, st *SearchStats, 
 // cp.pending. Classification of every node is identical in both modes —
 // a bound node is Frontier iff it has at least one son — only the
 // bound-level edge accounting differs (see Checkpoint).
-func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, workers int, cp *Checkpoint) {
+func (s *search) loop(ctx context.Context, res *Result, seed []son, workers int, cp *Checkpoint) {
 	p := s.p
 	st := &res.Stats
 	st.Workers = workers
@@ -297,8 +302,8 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 		capture: cp != nil,
 		emit:    p.OnSolution,
 	}
-	for i, t := range seed {
-		ws.slots[i].node = t
+	for i, n := range seed {
+		ws.slots[i].son = n
 	}
 	ws.cond.L = &ws.mu
 	if p.MaxNodes > 0 {
@@ -309,17 +314,19 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 		ws.limit = p.MaxNodes - res.Nodes
 	}
 
-	// Worker 0 accounts edge and level counters straight into st; each
-	// spawned worker into its own shard, with no sharing. The totals are
-	// sums over the deterministic node set, so the merged counters are
-	// deterministic even though the partition into shards is not.
+	// Worker 0 evaluates through the search's own handle and accounts
+	// edge, level and evaluation counters straight into st; each spawned
+	// worker through its own handle into its own shard, with no sharing.
+	// The totals are sums over the deterministic node set, so the merged
+	// counters are deterministic even though the partition into shards
+	// is not.
 	shards := make([]SearchStats, workers-1)
 	for w := 1; w < workers; w++ {
 		ws.wg.Add(1)
 		go func(w int) {
 			defer ws.wg.Done()
 			defer ws.recoverWorker()
-			s.work(ctx, ws, w, &shards[w-1], make([]trace.Trace, 0, s.fanout))
+			s.work(ctx, ws, w, s.e.NewWorker(), &shards[w-1], make([]son, 0, s.fanout))
 		}(w)
 	}
 	func() {
@@ -332,7 +339,7 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 				ws.wg.Wait()
 			}
 		}()
-		s.work(ctx, ws, 0, st, s.sonBuf)
+		s.work(ctx, ws, 0, s.w0, st, s.sonBuf)
 		ok = true
 	}()
 	ws.wg.Wait()
@@ -346,7 +353,7 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 		res.Visited = slices.Grow(res.Visited, ws.committed+1)
 	}
 	for i := 0; i < ws.committed; i++ {
-		cur, o := ws.slots[i].node, &ws.slots[i].out
+		cur, o := ws.slots[i].t, &ws.slots[i].out
 		res.Nodes++
 		if p.CollectVisited {
 			res.Visited = append(res.Visited, cur)
@@ -384,12 +391,12 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 	if cp != nil {
 		for i := 0; i < ws.committed; i++ {
 			if sl := &ws.slots[i]; sl.out.bound && sl.out.frontier {
-				cp.frontier = append(cp.frontier, frontierEntry{node: sl.node, sons: sl.out.sons})
+				cp.frontier = append(cp.frontier, frontierEntry{node: sl.t, sons: sl.out.sons})
 				st.RetainedSons += len(sl.out.sons)
 			}
 		}
 		for _, sl := range ws.slots[ws.committed:] {
-			cp.pending = append(cp.pending, sl.node)
+			cp.pending = append(cp.pending, sl.son)
 		}
 	}
 
@@ -399,7 +406,7 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 	if ws.committed < len(ws.slots) {
 		res.Truncated = true
 		res.Canceled = ws.canceled
-		cur := ws.slots[ws.committed].node
+		cur := ws.slots[ws.committed].t
 		res.Nodes++
 		if p.CollectVisited {
 			res.Visited = append(res.Visited, cur)
@@ -408,23 +415,26 @@ func (s *search) loop(ctx context.Context, res *Result, seed []trace.Trace, work
 		st.Skipped++
 	}
 
-	st.Eval = s.e.Snapshot()
 	st.CompiledEval = s.e.Compiled()
 	st.Elapsed += time.Since(start)
 }
 
 // visit classifies one node: limit condition, role, and — below the
 // depth bound — its admitted sons, written into buf. Pure with respect
-// to the shared search state; all counters go to the caller's st.
-// capture selects the checkpoint semantics at the depth bound (full
-// expansion, retained for the resume frontier, so never in buf).
-func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, buf []trace.Trace) nodeOut {
+// to the shared search state; evaluation goes through the worker's
+// handle ev and all counters to the caller's st. g(cur) goes from the
+// limit check to the expansion. capture selects the checkpoint
+// semantics at the depth bound (full expansion, retained for the resume
+// frontier, so never in buf).
+func (s *search) visit(ev *desc.Worker, n son, st *SearchStats, capture bool, buf []son) nodeOut {
 	var o nodeOut
-	o.solution = s.classify(cur, st)
+	var g fn.Tuple
+	o.solution, g = s.classify(ev, n, st)
+	cur := n.t
 	if cur.Len() >= s.p.MaxDepth {
 		if capture {
 			o.bound = true
-			o.sons = s.expand(cur, st, nil)
+			o.sons = s.expand(ev, cur, g, st, nil)
 			if len(o.sons) > 0 {
 				o.frontier = true
 			} else if !o.solution {
@@ -434,7 +444,7 @@ func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, buf []tra
 			}
 			return o
 		}
-		if s.hasSon(cur, st) {
+		if s.hasSon(ev, cur, g, st) {
 			o.frontier = true
 		} else if !o.solution {
 			o.dead = true
@@ -443,7 +453,7 @@ func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, buf []tra
 		}
 		return o
 	}
-	o.sons = s.expand(cur, st, buf[:0])
+	o.sons = s.expand(ev, cur, g, st, buf[:0])
 	if len(o.sons) == 0 {
 		if o.solution {
 			o.closed = true
@@ -454,8 +464,8 @@ func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, buf []tra
 	return o
 }
 
-// merge folds one worker shard's edge/level counters into the
-// aggregate. Node roles and per-level node counts are accounted by the
+// merge folds one worker shard's edge, level and evaluation counters
+// into the aggregate. Node roles and per-level node counts are accounted by the
 // canonical merge loop; shards only carry edge fates and per-level
 // prunes.
 func (s *SearchStats) merge(o SearchStats) {
@@ -465,6 +475,7 @@ func (s *SearchStats) merge(o SearchStats) {
 	s.SubtreesPruned += o.SubtreesPruned
 	s.FrontierWitnesses += o.FrontierWitnesses
 	s.Thm1AutoEdges += o.Thm1AutoEdges
+	s.Eval.Add(o.Eval)
 	for _, l := range o.Levels {
 		dst := s.level(l.Depth)
 		dst.Pruned += l.Pruned

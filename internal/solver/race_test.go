@@ -30,11 +30,10 @@ func raceFingerprint(res Result) string {
 
 // TestParallelFingerprintUnderRace runs the work-stealing search under
 // the race detector at several worker counts and asserts the full
-// deterministic fingerprint — including the evaluator's apply counts,
-// which the pre-singleflight implementation could not keep stable —
-// equals the one-worker search's. The CI invariants job runs this with
-// -race; it backs the concurrency claims in the search loop's and
-// Evaluator's doc comments.
+// deterministic fingerprint — including the evaluator's apply and hit
+// counts — equals the one-worker search's. The CI invariants job runs
+// this with -race; it backs the concurrency claims in the search loop's
+// doc comments.
 func TestParallelFingerprintUnderRace(t *testing.T) {
 	problems := map[string]Problem{
 		"dfm-6": dfmProblem(6),

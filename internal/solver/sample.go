@@ -36,10 +36,12 @@ type SampleResult struct {
 	Deepest trace.Trace
 	// Steps is the total number of edges taken.
 	Steps int
-	// Stats instruments the walks. Walks revisit shared prefixes
-	// constantly, so the memo hit rate here is the highest of the three
-	// search modes; node-role counters stay zero (walks classify no
-	// nodes), while edge and evaluation counters are live.
+	// Stats instruments the walks. Within one walk each step reuses f of
+	// the chosen son from its edge check and g of the current node from
+	// its limit check, so hits count those reuses; walks share nothing,
+	// and a prefix two walks pass through is evaluated by each.
+	// Node-role counters stay zero (walks classify no nodes), while edge
+	// and evaluation counters are live.
 	Stats SearchStats
 	// Canceled reports that the context stopped the walks early; the
 	// solutions gathered so far are still sound.
@@ -57,38 +59,39 @@ type SampleResult struct {
 // Canceled and returns what the walks found so far.
 func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	opts = opts.withDefaults(p)
-	s := newSearch(p, true)
+	s := newSearch(p)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := SampleResult{Solutions: map[string]trace.Trace{}}
 	st := &res.Stats
+	st.Eval = s.base
 	start := time.Now()
 walks:
 	for w := 0; w < opts.Walks; w++ {
-		cur := root
+		cur := son{t: root, f: s.f0}
 		for depth := 0; ; depth++ {
 			if ctx.Err() != nil {
 				res.Canceled = true
 				break walks
 			}
 			st.LimitChecks++
-			if s.e.LimitOK(cur) {
-				res.Solutions[cur.String()] = cur
+			ok, g := s.limit(s.w0, cur, &st.Eval)
+			if ok {
+				res.Solutions[cur.t.String()] = cur.t
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := s.expand(cur, st, s.sonBuf[:0])
+			sons := s.expand(s.w0, cur.t, g, st, s.sonBuf[:0])
 			if len(sons) == 0 {
 				break
 			}
 			cur = sons[rng.Intn(len(sons))]
 			res.Steps++
-			if cur.Len() > res.Deepest.Len() {
-				res.Deepest = cur
+			if cur.t.Len() > res.Deepest.Len() {
+				res.Deepest = cur.t
 			}
 		}
 	}
 	st.Elapsed = time.Since(start)
-	st.Eval = s.e.Snapshot()
 	return res
 }

@@ -45,10 +45,11 @@ type Problem struct {
 	// prune. With pruning off, every one-step extension is a son and
 	// smoothness is re-checked from scratch on candidate solutions.
 	Prune bool
-	// Memoize caches f and g evaluations across the whole search (one
-	// desc.Evaluator per Enumerate/EnumerateCapture/Sample call), so
-	// shared trace prefixes are evaluated once. Transparent to results;
-	// false is the memoization ablation.
+	// Memoize hands each evaluation to its one later reader: f(v) from
+	// the edge check that admitted v to v's limit check, and g(u) from
+	// u's limit check to u's expansion, so a tree search applies each
+	// side at most once per distinct trace. Transparent to results;
+	// false is the ablation, in which every read is an application.
 	Memoize bool
 	// CollectVisited controls whether Result.Visited is populated.
 	// NewProblem turns it on (the compatible default); large
@@ -130,18 +131,31 @@ type Result struct {
 var ErrBudget = errors.New("solver: node budget exhausted")
 
 // root is the tree's bottom element ⊥. Tree nodes are plain traces: the
-// persistent representation extends in O(1) with full prefix sharing,
-// and Trace.Key gives the evaluator its (hash, length) memo key in O(1),
-// so no per-node key string is maintained any more.
+// persistent representation extends in O(1) with full prefix sharing.
 var root = trace.Empty
 
+// son is a tree node as its parent admitted it: the trace and f(trace),
+// computed by the edge check f(v) ⊑ g(u) that admitted it. Every node
+// has exactly one parent, so the tuple has exactly one later reader —
+// the node's own limit check — and travels with the node. f is nil when
+// no evaluation admitted the node (a Theorem 1 auto edge, the root, or
+// the memoization ablation); the limit check then applies f itself.
+type son struct {
+	t trace.Trace
+	f fn.Tuple
+}
+
 // search carries the machinery shared by one tree exploration: the
-// problem, the memoized evaluator, and the interned candidate events —
+// problem, the compiled evaluator, and the interned candidate events —
 // one Event per (channel, message) built up front, so expansion never
 // re-constructs them.
 type search struct {
 	p Problem
 	e *desc.Evaluator
+	// w0 is the evaluation handle of the calling goroutine (the BFS
+	// loop's worker 0, Sample, CheckInduction); spawned workers make
+	// their own.
+	w0 *desc.Worker
 	// cands holds the per-channel candidate events in Channels order —
 	// the same data as ev, but expansion iterates it as a slice so the
 	// per-node inner loop never touches a map. Each event's Hash64 is
@@ -150,19 +164,25 @@ type search struct {
 	cands []candSet
 	// thm1 is true when the Theorem 1 fast path is active: the problem
 	// requested it (independent supports) and the induction base
-	// f(⊥) ⊑ g(⊥) holds. Candidates on channels outside fsupp are then
+	// f(⊥) ⊑ g(⊥) holds. Candidates on channels outside supp(f) are then
 	// admitted without evaluation (see Problem.Thm1).
 	thm1 bool
 	// fanout is the total alphabet size across channels — the exact
 	// capacity an expanding node's son list can need.
 	fanout int
-	fsupp  trace.ChanSet
-	// sonBuf is the reusable son-slot buffer of the calling goroutine
-	// (the BFS loop's worker 0, Sample, CheckInduction): capacity fanout,
-	// so expand never reallocates, and the consumer copies the sons out
-	// before the next expand reuses the slots. Spawned workers allocate
-	// their own.
-	sonBuf []trace.Trace
+	// f0 and g0 are f(⊥) and g(⊥) as the Theorem 1 induction base
+	// evaluated them (nil when it did not run, or without memoization),
+	// reused by the root's limit check. base counts the two
+	// applications; a search that starts at the root adds it to its
+	// stats, so a decoded checkpoint — whose constructor re-evaluates
+	// the base — counts nothing twice.
+	f0, g0 fn.Tuple
+	base   desc.EvalSnapshot
+	// sonBuf is the reusable son-slot buffer of the calling goroutine:
+	// capacity fanout, so expand never reallocates, and the consumer
+	// copies the sons out before the next expand reuses the slots.
+	// Spawned workers allocate their own.
+	sonBuf []son
 }
 
 // candSet is one channel's interned candidate events and their hashes.
@@ -176,20 +196,14 @@ type candSet struct {
 	auto bool
 }
 
-// newSearch builds the shared search state. single promises the caller
-// drives the search from one goroutine (a one-worker Enumerate, Sample,
-// CheckInduction), letting the evaluator memo skip its locks; searches
-// with several workers, and checkpoints (which may resume with several),
-// must pass false.
-func newSearch(p Problem, single bool) *search {
+// newSearch builds the shared search state.
+func newSearch(p Problem) *search {
 	s := &search{
-		p: p,
-		e: desc.NewEvaluatorOpts(p.D, desc.EvalOptions{
-			Memoize:        p.Memoize,
-			SingleThreaded: single,
-		}),
+		p:     p,
+		e:     desc.NewEvaluator(p.D),
 		cands: make([]candSet, 0, len(p.Channels)),
 	}
+	s.w0 = s.e.NewWorker()
 	for _, c := range p.Channels {
 		s.fanout += len(p.Alphabet[c])
 	}
@@ -205,27 +219,41 @@ func newSearch(p Problem, single bool) *search {
 		}
 		s.cands = append(s.cands, candSet{ch: c, es: es[lo:], hs: hs[lo:]})
 	}
-	s.sonBuf = make([]trace.Trace, 0, s.fanout)
+	s.sonBuf = make([]son, 0, s.fanout)
 	if p.Thm1 && p.Prune && !p.D.F.Omega {
 		// Induction base for the fast path's invariant. If it fails, the
 		// root has no sons at all (f(⊥) ⊑ f(v) ⊑ g(⊥) for any admitted
 		// v), so falling back to the full edge check costs nothing. The
 		// F.Omega re-check guards callers that set Thm1 by hand on an
 		// ω-approximation left side, for which auto-admit is unsound.
-		s.thm1 = s.e.F(trace.Empty).Leq(s.e.G(trace.Empty))
-		s.fsupp = p.D.F.Support
+		f0 := s.w0.F(trace.Empty, &s.base)
+		g0 := s.w0.G(trace.Empty, &s.base)
+		s.thm1 = f0.Leq(g0)
+		if p.Memoize {
+			s.f0, s.g0 = f0, g0
+		}
 		if s.thm1 {
 			for i := range s.cands {
-				s.cands[i].auto = !s.fsupp.Has(s.cands[i].ch)
+				s.cands[i].auto = !p.D.F.Support.Has(s.cands[i].ch)
 			}
 		}
 	}
 	return s
 }
 
+// fromRoot runs a search from the root into a fresh Result, counting the
+// induction base's applications (see search.base).
+func (s *search) fromRoot(ctx context.Context, workers int, cp *Checkpoint) Result {
+	var res Result
+	res.Stats.Eval = s.base
+	s.loop(ctx, &res, []son{{t: root, f: s.f0}}, workers, cp)
+	return res
+}
+
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
 // bounds and classifies every visited node, with p.Workers workers (see
-// loop). One memoized evaluator backs the whole search (see
+// loop). Each node carries f of itself from the edge that admitted it,
+// and g(u) goes from u's limit check to its expansion (see
 // Problem.Memoize), so f and g are applied at most once per distinct
 // trace; Result.Stats accounts for every node and edge.
 //
@@ -234,13 +262,7 @@ func newSearch(p Problem, single bool) *search {
 // adversarial problems (wide alphabets, deep probes) cannot run
 // unbounded when the caller holds a deadline.
 func Enumerate(ctx context.Context, p Problem) Result {
-	workers := workerCount(p.Workers)
-	// A lone worker runs on the calling goroutine, so the evaluator may
-	// skip its memo locks.
-	s := newSearch(p, workers == 1)
-	var res Result
-	s.loop(ctx, &res, []trace.Trace{root}, workers, nil)
-	return res
+	return newSearch(p).fromRoot(ctx, workerCount(p.Workers), nil)
 }
 
 // workerCount resolves a Workers setting: 0 or 1 is one worker on the
@@ -252,36 +274,69 @@ func workerCount(w int) int {
 	return max(w, 1)
 }
 
-// classify decides the limit condition at a node, with the full
-// smoothness re-check the unpruned ablation requires.
-func (s *search) classify(t trace.Trace, st *SearchStats) bool {
-	st.LimitChecks++
-	isSolution := s.e.LimitOK(t)
-	if s.p.Prune {
-		// With pruning, every node is reachable only through smooth
-		// edges, so the limit condition alone decides.
-		return isSolution
+// limit evaluates the limit condition f(t) = g(t) at node n, reusing
+// n.f when its admitting edge computed it. It returns g(t) for the
+// node's expansion — nil without memoization, so expansion applies g
+// again, which is the ablation.
+func (s *search) limit(w *desc.Worker, n son, ev *desc.EvalSnapshot) (bool, fn.Tuple) {
+	f := n.f
+	if f != nil {
+		ev.FHits++
+	} else {
+		f = w.F(n.t, ev)
 	}
-	if isSolution {
-		// Without pruning, re-check the full smoothness condition.
-		isSolution = s.p.D.IsSmoothFinite(t) == nil
+	var g fn.Tuple
+	if s.g0 != nil && n.t.Len() == 0 {
+		g = s.g0
+		ev.GHits++
+	} else {
+		g = w.G(n.t, ev)
 	}
-	return isSolution
+	ok := f.Equal(g)
+	if !s.p.Memoize {
+		g = nil
+	}
+	return ok, g
 }
 
-// expand generates the smooth sons of u. g(u) is evaluated at most once
-// per node — not once per candidate, and not at all when the Theorem 1
-// fast path admits every candidate — and each rejected candidate is a
-// whole subtree of the unpruned tree cut before any of it is expanded.
-// Each son is an O(1) persistent extension sharing u's spine.
+// classify decides the limit condition at a node, with the full
+// smoothness re-check the unpruned ablation requires, and returns g of
+// the node as limit does.
+func (s *search) classify(w *desc.Worker, n son, st *SearchStats) (bool, fn.Tuple) {
+	st.LimitChecks++
+	isSolution, g := s.limit(w, n, &st.Eval)
+	if !s.p.Prune && isSolution {
+		// Without pruning, nodes are not reachable only through smooth
+		// edges: re-check the full smoothness condition.
+		isSolution = s.p.D.IsSmoothFinite(n.t) == nil
+	}
+	return isSolution, g
+}
+
+// guOf returns g(u) for an expansion: gu when u's limit check handed it
+// over (a reuse), an application otherwise.
+func guOf(w *desc.Worker, u trace.Trace, gu fn.Tuple, ev *desc.EvalSnapshot) fn.Tuple {
+	if gu != nil {
+		ev.GHits++
+		return gu
+	}
+	return w.G(u, ev)
+}
+
+// expand generates the smooth sons of u, given g(u) from u's limit
+// check (nil: apply it here). g(u) is read at most once per node — not
+// once per candidate, and not at all when the Theorem 1 fast path admits
+// every candidate — and each rejected candidate is a whole subtree of
+// the unpruned tree cut before any of it is expanded. Each son is an
+// O(1) persistent extension sharing u's spine, and carries the f tuple
+// its edge check computed.
 //
 // dst, when non-nil, supplies the son slots (a reusable buffer of
 // capacity fanout); callers that retain the returned slice past the
 // next expand — the resume frontier of a capture — must pass nil.
-func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []trace.Trace {
+func (s *search) expand(w *desc.Worker, u trace.Trace, gu fn.Tuple, st *SearchStats, dst []son) []son {
 	sons := dst
 	lvl := st.level(u.Len() + 1)
-	var gu fn.Tuple
 	guReady := false
 	for ci := range s.cands {
 		// Fast path (Theorem 1): a channel outside supp(f) means
@@ -291,26 +346,30 @@ func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []tra
 		c := &s.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
-			v := u.AppendPrehashed(e, c.hs[i])
+			v := son{t: u.AppendPrehashed(e, c.hs[i])}
 			st.EdgesChecked++
 			if s.p.Prune {
 				if auto {
 					st.Thm1AutoEdges++
 				} else {
 					if !guReady {
-						gu = s.e.G(u)
+						gu = guOf(w, u, gu, &st.Eval)
 						guReady = true
 					}
-					if !s.e.F(v).Leq(gu) {
+					fv := w.F(v.t, &st.Eval)
+					if !fv.Leq(gu) {
 						st.SubtreesPruned++
 						lvl.Pruned++
 						continue
+					}
+					if s.p.Memoize {
+						v.f = fv
 					}
 				}
 			}
 			st.EdgesKept++
 			if sons == nil {
-				sons = make([]trace.Trace, 0, s.fanout)
+				sons = make([]son, 0, s.fanout)
 			}
 			sons = append(sons, v)
 		}
@@ -319,12 +378,12 @@ func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []tra
 }
 
 // hasSon reports whether a depth-bound node has a smooth son, stopping at
-// the first witness. Failed candidates are pruned subtrees like expand's;
-// the witness is counted separately since it is never enqueued. A
-// Theorem-1 auto-admitted candidate is an immediate witness.
-func (s *search) hasSon(u trace.Trace, st *SearchStats) bool {
+// the first witness, given g(u) as expand takes it. Failed candidates
+// are pruned subtrees like expand's; the witness is counted separately
+// since it is never enqueued. A Theorem-1 auto-admitted candidate is an
+// immediate witness.
+func (s *search) hasSon(w *desc.Worker, u trace.Trace, gu fn.Tuple, st *SearchStats) bool {
 	lvl := st.level(u.Len() + 1)
-	var gu fn.Tuple
 	guReady := false
 	for ci := range s.cands {
 		c := &s.cands[ci]
@@ -338,10 +397,10 @@ func (s *search) hasSon(u trace.Trace, st *SearchStats) bool {
 				return true
 			}
 			if !guReady {
-				gu = s.e.G(u)
+				gu = guOf(w, u, gu, &st.Eval)
 				guReady = true
 			}
-			if s.e.F(v).Leq(gu) {
+			if w.F(v, &st.Eval).Leq(gu) {
 				st.FrontierWitnesses++
 				return true
 			}
@@ -398,19 +457,19 @@ func IsTreeNode(d desc.Description, t trace.Trace) bool {
 //
 // The tree is explored exactly once: each dequeued node is classified by
 // the limit condition during the same walk that checks the inductive
-// step along its out-edges, sharing one memoized evaluator — there is no
-// second Enumerate pass.
+// step along its out-edges, each node carrying f of itself from its
+// admitting edge as in Enumerate — there is no second Enumerate pass.
 func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) error {
 	if !phi(trace.Empty) {
 		return errors.New("solver: induction base φ(⊥) fails")
 	}
-	s := newSearch(p, true)
+	s := newSearch(p)
 	var st SearchStats
-	queue := []trace.Trace{root}
+	queue := []son{{t: root, f: s.f0}}
 	nodes := 0
 	var unsound error
 	for len(queue) > 0 {
-		u := queue[0]
+		n := queue[0]
 		queue = queue[1:]
 		nodes++
 		if err := ctx.Err(); err != nil {
@@ -425,14 +484,15 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		if unsound == nil && s.classify(u, &st) && !phi(u) {
-			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
+		sol, g := s.classify(s.w0, n, &st)
+		if unsound == nil && sol && !phi(n.t) {
+			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", n.t)
 		}
-		if u.Len() >= p.MaxDepth {
+		if n.t.Len() >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.expand(u, &st, s.sonBuf[:0]) {
-			if err := p.D.InductionPremise(phi, u, v); err != nil {
+		for _, v := range s.expand(s.w0, n.t, g, &st, s.sonBuf[:0]) {
+			if err := p.D.InductionPremise(phi, n.t, v.t); err != nil {
 				return err
 			}
 			queue = append(queue, v)

@@ -90,7 +90,7 @@ type SearchStats struct {
 	Levels []LevelStats `json:"levels,omitempty"`
 
 	// Eval is the description evaluator's account: f/g applications,
-	// memo hits, and where evaluation time went.
+	// tuples reused from parent to son, and where evaluation time went.
 	Eval desc.EvalSnapshot `json:"eval"`
 
 	// Elapsed is the wall-clock duration of the search.
@@ -191,7 +191,6 @@ func (s SearchStats) Report() report.Stats {
 	memo.Add("cache misses", s.Eval.CacheMisses(), "")
 	memo.Add("f applications", s.Eval.FApplies, "")
 	memo.Add("g applications", s.Eval.GApplies, "")
-	memo.Add("inflight waits", s.Eval.InflightWaits, "sched")
 	if s.CompiledEval {
 		memo.AddInt("compiled eval", 1)
 	}
@@ -224,7 +223,7 @@ func (s SearchStats) Report() report.Stats {
 // Deterministic returns a copy with every scheduling-, timing- and
 // configuration-dependent field zeroed: Workers and CompiledEval (run
 // configuration), Steals, IdleWaits, Elapsed, and the evaluator's
-// wall-clock and in-flight-wait readings. Two searches of the same
+// wall-clock readings. Two searches of the same
 // problem — at any worker count, compiled or interpreted — produce
 // equal Deterministic views; the parity suite, the differential suite
 // and the CI smoke assertion compare exactly this.
@@ -234,7 +233,6 @@ func (s SearchStats) Deterministic() SearchStats {
 	s.Steals = 0
 	s.IdleWaits = 0
 	s.Elapsed = 0
-	s.Eval.InflightWaits = 0
 	s.Eval.FNanos = 0
 	s.Eval.GNanos = 0
 	return s

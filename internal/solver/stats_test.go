@@ -209,15 +209,16 @@ func TestParallelBudgetMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSampleStats: the walk sampler shares prefixes across walks, so the
-// memo hit rate is high and edge counters are live.
+// TestSampleStats: each walk reuses f of the son it steps to and g of
+// the node it expands, so hits come from reuse within a walk, and edge
+// counters are live.
 func TestSampleStats(t *testing.T) {
 	res := Sample(context.Background(), dfmProblem(4), SampleOpts{Seed: 7, Walks: 16})
 	if res.Stats.EdgesChecked == 0 {
 		t.Error("no edges checked")
 	}
 	if res.Stats.Eval.CacheHits() == 0 {
-		t.Error("no cache hits across walks")
+		t.Error("no cache hits within the walks")
 	}
 	if res.Stats.LimitChecks == 0 {
 		t.Error("no limit checks")

@@ -3,7 +3,7 @@
 // written once, parents before children — and the traces in the body are
 // varint references into that pool, so the prefix sharing that makes the
 // §3.3 search's trace storage O(N) survives serialization byte for byte.
-// A solver checkpoint whose frontier, memo and result all hang off one
+// A solver checkpoint whose frontier, pending nodes and result all hang off one
 // spine costs one pool on disk, not one copy per retained trace.
 //
 // Integrity: the rolling structural hash is deliberately NOT stored per
