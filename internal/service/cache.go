@@ -150,6 +150,18 @@ func (c *LRU[K, V]) Unpin(k K) {
 	c.pins[k] = n - 1
 }
 
+// Remove drops k's entry even while it is pinned — for a value that
+// went bad under its holders, which keep their reference. Pin counts
+// are kept, so the holders' Unpins stay balanced.
+func (c *LRU[K, V]) Remove(k K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.Remove(el)
+		delete(c.items, k)
+	}
+}
+
 // Len returns the current number of entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

@@ -57,3 +57,27 @@ func TestLRUMinimumCapacity(t *testing.T) {
 		t.Errorf("capacity-clamped cache holds %d entries, want 1", c.Len())
 	}
 }
+
+// Remove drops an entry even while it is pinned; the holders' Unpins
+// stay balanced, and a replacement stored under the same key is pinned
+// and evicted like any other entry.
+func TestLRURemovePinned(t *testing.T) {
+	c := NewLRU[string, int](1)
+	c.PutPinned("a", 1)
+	c.Remove("a")
+	if _, ok := c.Get("a"); ok || c.Len() != 0 {
+		t.Fatalf("removed entry still cached (len %d)", c.Len())
+	}
+	c.Remove("a") // absent: no-op
+	c.PutPinned("a", 2)
+	c.Unpin("a") // the first holder's pin
+	c.Put("b", 3)
+	if v, ok := c.Get("a"); !ok || v != 2 {
+		t.Fatalf("replacement evicted while still pinned: %d, %v", v, ok)
+	}
+	c.Unpin("a")
+	c.Put("c", 4)
+	if _, ok := c.Get("a"); ok {
+		t.Error("replacement survived eviction after its last Unpin")
+	}
+}

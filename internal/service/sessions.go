@@ -155,6 +155,15 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 		TraceID:  s.traceOf(r),
 		AdmitNs:  time.Since(start).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
+			// A leg that panics leaves the live session half-advanced (it
+			// fails closed from then on). Drop it from the cache so the next
+			// request restores the last persisted checkpoint.
+			panicked := true
+			defer func() {
+				if panicked {
+					s.sessions.Remove(hash)
+				}
+			}()
 			// The prefix's nodes and solutions were counted by the legs that
 			// classified them; feed the counters only the growth.
 			prevNodes := e.sess.Nodes()
@@ -164,6 +173,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 				MaxNodes: p.MaxNodes,
 				Workers:  p.Workers,
 			})
+			panicked = false
 			if err != nil {
 				return nil, err
 			}
@@ -197,6 +207,9 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 	view := s.sched.View(job)
 	if view.State == JobFailed {
 		status := http.StatusConflict // depth shrink, exhausted budget
+		if run := view.Spans[len(view.Spans)-1]; run.Error != "" {
+			status = http.StatusInternalServerError // the leg panicked
+		}
 		writeError(w, status, errors.New(view.Error))
 		return
 	}

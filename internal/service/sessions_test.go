@@ -3,12 +3,17 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 	"testing"
+
+	"smoothproc/internal/fn"
+	"smoothproc/internal/session"
+	"smoothproc/internal/trace"
 )
 
 // dfm is the discriminated fair merge of Figure 2 — small enough to
@@ -289,5 +294,76 @@ func TestSolveStreamFirstSolutionBeforeDone(t *testing.T) {
 	}
 	if done.Result.Nodes < 10000 {
 		t.Fatalf("smoke search too small to prove streaming: %d nodes", done.Result.Nodes)
+	}
+}
+
+// A session leg whose search panics must not leave the half-advanced
+// session serving requests: the leg fails with 500, the live session is
+// dropped, and the next leg at the same depth restores the last
+// persisted checkpoint and lands on the answer a clean session gives.
+// The panicking side is swapped into the live session after the cold
+// leg persisted its checkpoint; it panics on every depth-3 trace, which
+// the depth-2 capture expands but never classifies.
+func TestSessionPanickedLegRestoresFromStore(t *testing.T) {
+	// Reference: a clean session deepened from depth 2 to 3.
+	_, refTS := newTestServer(t, Config{Workers: 2})
+	postJSON(t, refTS.URL+"/v1/sessions", SessionRequest{Source: dfm, Depth: 2})
+	resp, body := postJSON(t, refTS.URL+"/v1/sessions/"+specHash(dfm)+"/resume", SessionRequest{Depth: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reference resume: status %d: %s", resp.StatusCode, body)
+	}
+	ref := decode[SessionView](t, body)
+
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	resp, body = postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Source: dfm, Depth: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session create: status %d: %s", resp.StatusCode, body)
+	}
+	hash := decode[SessionView](t, body).SpecHash
+	spec, ok := srv.lookupSpec(context.Background(), hash)
+	if !ok {
+		t.Fatal("spec not found")
+	}
+	p := spec.prog.Problem()
+	p.CollectVisited = false
+	g := p.D.G
+	p.D.G.IR = nil
+	p.D.G.Apply = func(tr trace.Trace) fn.Tuple {
+		if tr.Len() == 3 {
+			panic("side exploded")
+		}
+		return g.Apply(tr)
+	}
+	bad := session.New(hash, p, spec.prog.System)
+	if _, _, err := bad.Solve(context.Background(), session.Options{Depth: 2}); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := srv.sessions.Pin(hash)
+	if !ok {
+		t.Fatal("session not live")
+	}
+	e.sess = bad
+	srv.sessions.Unpin(hash)
+
+	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+hash+"/resume", SessionRequest{Depth: 3, Workers: 2})
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "side exploded") {
+		t.Fatalf("panicking leg: status %d: %s", resp.StatusCode, body)
+	}
+
+	var sv SessionView
+	if code := getJSON(t, ts.URL+"/v1/sessions/"+hash, &sv); code != http.StatusOK || sv.Depth != 2 {
+		t.Fatalf("after the panic: status %d, session %+v; want the persisted depth-2 session", code, sv)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+hash+"/resume", SessionRequest{Depth: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume after the panic: status %d: %s", resp.StatusCode, body)
+	}
+	sv = decode[SessionView](t, body)
+	if sv.Outcome != "resumed" || sv.Depth != 3 || sv.Result == nil {
+		t.Fatalf("resume after the panic: %+v", sv)
+	}
+	if got, want := fmt.Sprint(sv.Result.Solutions, sv.Result.Nodes, sv.Result.Stats),
+		fmt.Sprint(ref.Result.Solutions, ref.Result.Nodes, ref.Result.Stats); got != want {
+		t.Fatalf("restored session diverges from a clean one:\n got  %s\n want %s", got, want)
 	}
 }

@@ -129,6 +129,12 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 		return res, Cold, nil
 	}
 
+	if !s.cp.Resumable() {
+		// A panicked leg left the checkpoint half-advanced: its stored
+		// result is shallower than its bounds, so neither replay nor
+		// resume can be trusted.
+		return solver.Result{}, 0, fmt.Errorf("session %s: checkpoint is not resumable (a previous leg panicked); restore the session from its last persisted state", s.key)
+	}
 	depth := o.Depth
 	if depth == 0 {
 		depth = s.cp.MaxDepth()
@@ -266,6 +272,9 @@ func (s *Session) Delta(idx int, b string) (DeltaResult, error) {
 	defer s.mu.Unlock()
 	if s.cp == nil {
 		return DeltaResult{}, errors.New("session: delta before the first solve")
+	}
+	if !s.cp.Resumable() {
+		return DeltaResult{}, fmt.Errorf("session %s: delta on a checkpoint a panicked leg left half-advanced", s.key)
 	}
 	if len(s.sys.Descs) == 0 {
 		return DeltaResult{}, errors.New("session: delta on a session without a system (built from a bare problem)")

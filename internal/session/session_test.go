@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smoothproc/internal/eqlang"
+	"smoothproc/internal/fn"
 	"smoothproc/internal/solver"
 	"smoothproc/internal/trace"
 )
@@ -111,6 +112,52 @@ func coldProblem(t *testing.T, depth int) solver.Problem {
 	p.MaxDepth = depth
 	p.CollectVisited = false
 	return p
+}
+
+// A leg whose search panics leaves the session failing closed: the
+// checkpoint is half-advanced (bounds raised, frontier spent, result
+// still the old one), so the session must neither replay that shallower
+// result at the new depth nor resume from the emptied queue, encode the
+// broken state for the durable store or project it in a delta.
+func TestSessionFailsClosedAfterPanickedLeg(t *testing.T) {
+	ctx := context.Background()
+	prog, err := eqlang.CompileSource(dfmSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.Problem()
+	p.CollectVisited = false
+	g := p.D.G
+	p.D.G.IR = nil
+	p.D.G.Apply = func(tr trace.Trace) fn.Tuple {
+		if tr.Len() == 3 {
+			panic("side exploded")
+		}
+		return g.Apply(tr)
+	}
+	s := New("dfm", p, prog.System)
+	if _, _, err := s.Solve(ctx, Options{Depth: 2}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("depth-3 leg did not panic")
+			}
+		}()
+		s.Solve(ctx, Options{Depth: 3, Workers: 2})
+	}()
+	for _, depth := range []int{0, 3, 4} {
+		if res, out, err := s.Solve(ctx, Options{Depth: depth}); err == nil {
+			t.Errorf("depth %d after the panicked leg: %v with %d nodes, want an error", depth, out, res.Nodes)
+		}
+	}
+	if _, err := s.Encode(); err == nil {
+		t.Error("a session with a broken checkpoint encoded")
+	}
+	if _, err := s.Delta(2, "b"); err == nil {
+		t.Error("delta on a broken checkpoint succeeded")
+	}
 }
 
 // TestSessionStream checks that a cold leg plus a resumed leg stream the

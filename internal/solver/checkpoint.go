@@ -47,13 +47,21 @@ type frontierEntry struct {
 // (the session subsystem) serialize resumes. Every leg may run with any
 // number of workers: each worker evaluates through its own handle, and
 // the counters are byte-identical either way.
+//
+// A resume leg that panics (a Go-closure side, say) leaves the
+// checkpoint half-advanced: its frontier already moved into the lost
+// queue, its bounds already raised, its Result still the old one. Such
+// a checkpoint is broken: it refuses to resume or encode, so its holder
+// fails closed instead of serving a shallow result at the new depth.
 type Checkpoint struct {
 	s        *search
 	done     Result
 	frontier []frontierEntry
 	pending  []son
+	tuples   int // f tuples held by the frontier sons and pending nodes
 	resumes  int
 	finaled  bool
+	broken   bool
 }
 
 // EnumerateCapture is Enumerate in capture mode: the same classified
@@ -108,6 +116,9 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	if cp.finaled {
 		return Result{}, errors.New("solver: checkpoint was finalized by a Final resume and cannot resume again")
 	}
+	if cp.broken {
+		return Result{}, errBroken
+	}
 	oldDepth := cp.s.p.MaxDepth
 	if o.MaxDepth == 0 {
 		o.MaxDepth = oldDepth
@@ -143,7 +154,9 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	// Seed queue, in the order a cold solve at the new depth would hold
 	// at this point: the pending remainder first (BFS level order puts
 	// every pending node before any frontier son), then the retained
-	// frontier's sons in commit order.
+	// frontier's sons in commit order. From here until the loop returns
+	// the checkpoint is half-advanced; a panic leaves it broken.
+	cp.broken = true
 	queue := append([]son(nil), cp.pending...)
 	if deepen {
 		st.Interior += st.Frontier
@@ -156,6 +169,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		cp.frontier = cp.frontier[:0]
 	}
 	cp.pending = nil
+	cp.tuples -= countTuples(queue)
 	cp.s.p.MaxDepth = o.MaxDepth
 	cp.s.p.MaxNodes = o.MaxNodes
 	cp.s.p.OnSolution = o.OnSolution
@@ -166,6 +180,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	}
 	res := base
 	cp.s.loop(ctx, &res, queue, workerCount(o.Workers), capCp)
+	cp.broken = false
 	cp.resumes++
 	if o.Final {
 		cp.finaled = true
@@ -212,19 +227,18 @@ func (cp *Checkpoint) PendingSize() int { return len(cp.pending) }
 // Resumes returns how many resume legs the checkpoint has run.
 func (cp *Checkpoint) Resumes() int { return cp.resumes }
 
-// Resumable reports whether another Resume may run (false after Final).
-func (cp *Checkpoint) Resumable() bool { return !cp.finaled }
+// Resumable reports whether another Resume may run: false after Final
+// and after a resume leg panicked.
+func (cp *Checkpoint) Resumable() bool { return !cp.finaled && !cp.broken }
+
+// errBroken is what Resume and Encode return on a checkpoint whose
+// resume leg panicked.
+var errBroken = errors.New("solver: a resume leg panicked and left the checkpoint half-advanced; restore it from its last encoding")
 
 // MemoEntries returns the number of f tuples the checkpoint retains
 // between legs: one per frontier son and pending node whose admitting
 // edge evaluated f.
-func (cp *Checkpoint) MemoEntries() int {
-	n := countTuples(cp.pending)
-	for _, fe := range cp.frontier {
-		n += countTuples(fe.sons)
-	}
-	return n
-}
+func (cp *Checkpoint) MemoEntries() int { return cp.tuples }
 
 func countTuples(ns []son) int {
 	n := 0

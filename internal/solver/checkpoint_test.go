@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smoothproc/internal/fn"
 	"smoothproc/internal/trace"
 )
 
@@ -177,6 +178,95 @@ func TestResumeValidation(t *testing.T) {
 			t.Error("same-depth Final resume over a live frontier should fail")
 		}
 	}
+}
+
+// A resume leg that panics must leave the checkpoint failing closed: the
+// panic strikes after the frontier moved into the leg's queue and the
+// bounds were raised, so a later replay would serve the old, shallower
+// result as the new depth's and a later resume would start from an
+// empty queue. The side panics on every depth-3 trace, which the
+// depth-2 capture expands (f) but never classifies (g).
+func TestPanickedResumeFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		p := dfmProblem(2)
+		g := p.D.G
+		p.D.G.IR = nil
+		p.D.G.Apply = func(tr trace.Trace) fn.Tuple {
+			if tr.Len() == 3 {
+				panic("side exploded")
+			}
+			return g.Apply(tr)
+		}
+		_, cp := EnumerateCapture(ctx, withWorkers(p, workers))
+		if !cp.Resumable() || cp.FrontierSize() == 0 {
+			t.Fatalf("w%d: capture not resumable or has no frontier", workers)
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			cp.Resume(ctx, ResumeOpts{MaxDepth: 3, Workers: workers})
+			return nil
+		}()
+		if wp, ok := got.(*WorkerPanic); ok {
+			got = wp.Value
+		}
+		if got != "side exploded" {
+			t.Fatalf("w%d: resume recovered %v, want the side's panic", workers, got)
+		}
+		if cp.Resumable() {
+			t.Errorf("w%d: checkpoint still resumable after a panicked leg", workers)
+		}
+		for _, depth := range []int{3, 4} {
+			if _, err := cp.Resume(ctx, ResumeOpts{MaxDepth: depth, Workers: workers}); err == nil {
+				t.Errorf("w%d: resume to depth %d after a panicked leg succeeded", workers, depth)
+			}
+		}
+		if _, err := cp.Encode(); err == nil {
+			t.Errorf("w%d: a broken checkpoint encoded", workers)
+		}
+	}
+}
+
+// MemoEntries is kept as a running count; it must equal a recount of
+// the retained frontier sons and pending nodes after every kind of leg:
+// a truncated capture (pending), a budget-only resume at the same depth
+// (pending consumed, frontier kept and grown) and a deepening resume.
+func TestMemoEntriesCountsRetainedTuples(t *testing.T) {
+	ctx := context.Background()
+	recount := func(cp *Checkpoint) int {
+		n := countTuples(cp.pending)
+		for _, fe := range cp.frontier {
+			n += countTuples(fe.sons)
+		}
+		return n
+	}
+	p := dfmProblem(3)
+	p.MaxNodes = 7
+	_, cp := EnumerateCapture(ctx, p)
+	if cp.PendingSize() == 0 {
+		t.Fatal("truncated capture retained no pending nodes")
+	}
+	check := func(leg string) {
+		t.Helper()
+		if got, want := cp.MemoEntries(), recount(cp); got != want {
+			t.Errorf("%s: MemoEntries %d, recount %d", leg, got, want)
+		}
+	}
+	check("truncated capture")
+	if cp.MemoEntries() == 0 {
+		t.Fatal("truncated capture retained no f tuples")
+	}
+	if _, err := cp.Resume(ctx, ResumeOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	check("budget resume")
+	if cp.FrontierSize() == 0 {
+		t.Fatal("budget resume left no frontier to deepen")
+	}
+	if _, err := cp.Resume(ctx, ResumeOpts{MaxDepth: 4, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check("deepening resume")
 }
 
 // TestOnSolutionStreamsCanonically checks the streaming hook: sequential

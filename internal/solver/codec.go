@@ -38,6 +38,9 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	if cp == nil || cp.s == nil {
 		return nil, fmt.Errorf("solver: encode of an empty checkpoint")
 	}
+	if cp.broken {
+		return nil, errBroken
+	}
 	e := trace.NewEncoder()
 	e.Uvarint(checkpointVersion)
 
@@ -152,11 +155,16 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
+	tuples := countTuples(pending)
+	for _, fe := range frontier {
+		tuples += countTuples(fe.sons)
+	}
 	return &Checkpoint{
 		s:        newSearch(p),
 		done:     res,
 		frontier: frontier,
 		pending:  pending,
+		tuples:   tuples,
 		resumes:  int(resumes),
 		finaled:  finaled,
 	}, nil

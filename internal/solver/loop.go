@@ -392,12 +392,14 @@ func (s *search) loop(ctx context.Context, res *Result, seed []son, workers int,
 		for i := 0; i < ws.committed; i++ {
 			if sl := &ws.slots[i]; sl.out.bound && sl.out.frontier {
 				cp.frontier = append(cp.frontier, frontierEntry{node: sl.t, sons: sl.out.sons})
+				cp.tuples += countTuples(sl.out.sons)
 				st.RetainedSons += len(sl.out.sons)
 			}
 		}
 		for _, sl := range ws.slots[ws.committed:] {
 			cp.pending = append(cp.pending, sl.son)
 		}
+		cp.tuples += countTuples(cp.pending) // empty when the leg began
 	}
 
 	// Truncation accounting: the first node past the stopping point is
